@@ -105,7 +105,7 @@ func TestTDSPMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := refTDSP(c, src, gen.AttrLatency, 10)
+	want, _ := refTDSP(c, src, 0, gen.AttrLatency, 10)
 	for v := range got {
 		if math.IsInf(want[v], 1) != math.IsInf(got[v], 1) {
 			t.Fatalf("vertex %d: finality mismatch %v vs %v", v, got[v], want[v])
@@ -154,7 +154,7 @@ func TestTDSPRandomProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want := refTDSP(c, src, gen.AttrLatency, 5)
+		want, _ := refTDSP(c, src, 0, gen.AttrLatency, 5)
 		for v := range got {
 			if math.IsInf(want[v], 1) != math.IsInf(got[v], 1) {
 				return false

@@ -3,108 +3,46 @@ package algorithms
 import (
 	"tsgraph/internal/bsp"
 	"tsgraph/internal/core"
-	"tsgraph/internal/graph"
-	"tsgraph/internal/obs"
 	"tsgraph/internal/subgraph"
 )
 
-// Distributed drivers for the serving tier's sharded sweeps. Each rank of
-// a shard group calls one of these with the SAME program inputs (queries,
-// meme tag) and its OWN local partitions; the cluster mesh exchanges
-// boundary messages, and afterwards each rank reads answers for the
-// vertices it owns.
-//
-// Two deliberate differences from the single-process drivers:
-//
-//   - Programs are built over allParts (every partition of the dataset),
-//     not just the local ones: NewBatchTDSP resolves source and target
-//     vertices through the full partition set, and per-source bookkeeping
-//     must agree across ranks. Only Job.Parts is local.
-//
-//   - No HaltCondition. The single-process RunBatchTDSP stops early once
-//     every target is finalized, summing CounterTargetsDone from the
-//     timestep record — but a distributed record covers only local
-//     partitions, so ranks would disagree about when to stop and deadlock
-//     the barrier protocol. The program's VoteToHaltTimestep consensus
-//     (all sources final, merged across ranks by the temporal exchange)
-//     provides the same early exit safely, and target arrivals are
-//     finalized before a source retires, so answers are unchanged.
-
-// RunBatchTDSPDistributed runs one multi-source TDSP sweep as this rank's
-// share of a distributed micro-batch. The engine must be built over
-// localParts with bsp.NewEngineRemote and bound to the coordinator's node
-// before the call; reusing one engine across sequential sweeps is safe
-// because every barrier drains its step's frames completely.
-func RunBatchTDSPDistributed(
-	t *graph.Template,
-	allParts []*subgraph.PartitionData,
-	localParts []*subgraph.PartitionData,
-	queries []BatchQuery,
-	depart int,
-	source core.InstanceSource,
-	delta float64,
-	weightAttr string,
-	cfg bsp.Config,
-	remote bsp.Remote,
-	coord core.Coordinator,
-	engine *bsp.Engine,
-	tracer *obs.Tracer,
-) (*BatchTDSPProgram, *core.Result, error) {
-	prog, err := NewBatchTDSP(allParts, queries, depart, delta, weightAttr)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := core.RunWithEngine(&core.Job{
-		Template:        t,
-		Parts:           localParts,
-		Source:          source,
-		Program:         prog,
-		Pattern:         core.SequentiallyDependent,
-		StartTimestep:   depart,
-		Config:          cfg,
-		Tracer:          tracer,
-		Remote:          remote,
-		Coordinator:     coord,
-		GlobalSubgraphs: subgraph.TotalSubgraphs(allParts),
-	}, engine)
-	if err != nil {
-		return nil, nil, err
-	}
-	return prog, res, nil
+// Mesh seats a sweep on one rank of a cluster mesh (the serving tier's
+// sharded groups). Every rank of the group calls the same Sweep with the
+// SAME program inputs (queries, meme tag) built over ALL partitions — source
+// and target resolution and per-source bookkeeping must agree across ranks —
+// and its OWN Mesh; the mesh exchanges boundary messages, and afterwards
+// each rank reads answers for the vertices it owns.
+type Mesh struct {
+	// Remote and Coordinator are the rank's cluster.Node.
+	Remote      bsp.Remote
+	Coordinator core.Coordinator
+	// Engine is built over Local with bsp.NewEngineRemote and bound to the
+	// node before the mesh starts. One engine serves every sweep of the
+	// rank: each barrier drains its step's frames completely, and a peer's
+	// first frames of the next sweep are staged by superstep until this
+	// rank gets there.
+	Engine *bsp.Engine
+	// Local are the partitions this rank owns and runs.
+	Local []*subgraph.PartitionData
 }
 
-// RunMemeDistributed runs one meme spread as this rank's share of a
-// distributed sweep. Afterwards ColoredAt over localParts yields this
-// rank's authoritative colorings (-1 entries for vertices it does not
-// own).
-func RunMemeDistributed(
-	t *graph.Template,
-	allParts []*subgraph.PartitionData,
-	localParts []*subgraph.PartitionData,
-	meme string,
-	tweetsAttr string,
-	source core.InstanceSource,
-	cfg bsp.Config,
-	remote bsp.Remote,
-	coord core.Coordinator,
-	engine *bsp.Engine,
-	tracer *obs.Tracer,
-) ([]int32, *core.Result, error) {
-	prog := NewMeme(allParts, meme, tweetsAttr)
-	res, err := core.RunWithEngine(&core.Job{
-		Template:        t,
-		Parts:           localParts,
-		Source:          source,
-		Program:         prog,
-		Pattern:         core.SequentiallyDependent,
-		Config:          cfg,
-		Tracer:          tracer,
-		Remote:          remote,
-		Coordinator:     coord,
-		GlobalSubgraphs: subgraph.TotalSubgraphs(allParts),
-	}, engine)
-	if err != nil {
-		return nil, nil, err
+// sweep runs a sequentially dependent job in this process, or with a Mesh
+// as this rank's share of it.
+//
+// A meshed sweep must carry no HaltCondition: a rank's timestep record
+// covers only its own partitions, so ranks would disagree about when to
+// stop and deadlock the barrier protocol. It sets no WhileMode either, so
+// it always runs its whole window — a sharded TDSP batch sweeps
+// [depart, watermark) even after every target is final (targets retire
+// only on the rank that owns them, and answers are finalized before that,
+// so they are unchanged; the cost is the extra timesteps).
+func sweep(job *core.Job, m *Mesh) (*core.Result, error) {
+	job.Pattern = core.SequentiallyDependent
+	if m == nil {
+		return core.Run(job)
 	}
-	return prog.ColoredAt(localParts, t), res, nil
+	job.GlobalSubgraphs = subgraph.TotalSubgraphs(job.Parts)
+	job.Parts = m.Local
+	job.Remote, job.Coordinator = m.Remote, m.Coordinator
+	return core.RunWithEngine(job, m.Engine)
 }

@@ -9,6 +9,7 @@ import (
 	"container/heap"
 	"encoding/gob"
 	"math"
+	"sort"
 
 	"tsgraph/internal/subgraph"
 )
@@ -188,19 +189,35 @@ func modifiedSSSP(
 	return remote
 }
 
-// batchRemote converts the remote candidate map into one LabelBatch per
-// destination subgraph.
-func batchRemote(remote map[remoteKey]remoteCand) map[subgraph.ID]*LabelBatch {
-	out := make(map[subgraph.ID]*LabelBatch)
-	for key, cand := range remote {
-		dst := subgraph.MakeID(int(key.part), int(cand.sgIdx))
-		b := out[dst]
-		if b == nil {
-			b = &LabelBatch{}
-			out[dst] = b
-		}
-		b.Vertices = append(b.Vertices, key.local)
-		b.Labels = append(b.Labels, cand.label)
+// forEachBatch groups the remote candidates of one local Dijkstra into one
+// LabelBatch per destination subgraph and hands them to fn in deterministic
+// order (sorted destinations, sorted vertices within each batch).
+func forEachBatch(remote map[remoteKey]remoteCand, fn func(dst subgraph.ID, b LabelBatch)) {
+	type cand struct {
+		dst   subgraph.ID
+		lv    int32
+		label float64
 	}
-	return out
+	cands := make([]cand, 0, len(remote))
+	for key, c := range remote {
+		cands = append(cands, cand{subgraph.MakeID(int(key.part), int(c.sgIdx)), key.local, c.label})
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].dst != cands[j].dst {
+			return cands[i].dst < cands[j].dst
+		}
+		return cands[i].lv < cands[j].lv
+	})
+	for lo := 0; lo < len(cands); {
+		hi := lo
+		for hi < len(cands) && cands[hi].dst == cands[lo].dst {
+			hi++
+		}
+		b := LabelBatch{Vertices: make([]int32, hi-lo), Labels: make([]float64, hi-lo)}
+		for i, c := range cands[lo:hi] {
+			b.Vertices[i], b.Labels[i] = c.lv, c.label
+		}
+		fn(cands[lo].dst, b)
+		lo = hi
+	}
 }

@@ -43,30 +43,34 @@ func refDijkstra(g *graph.Template, src int, weights []float64) []float64 {
 	return dist
 }
 
-// refTDSP is the global discrete-time TDSP: per timestep, Dijkstra from the
-// finalized set (seeded at ts·δ by the idling edges) capped at the horizon
-// (ts+1)·δ, finalizing newly reached vertices.
-func refTDSP(c *graph.Collection, src int, attr string, delta float64) []float64 {
+// refTDSP is the global discrete-time TDSP leaving src at timestep depart:
+// per timestep, Dijkstra from the finalized set (seeded at ts·δ by the
+// idling edges) capped at the horizon (ts+1)·δ, finalizing newly reached
+// vertices. It returns arrival times (Inf when unreached) and the timestep
+// each vertex finalized in (-1 when unreached).
+func refTDSP(c *graph.Collection, src, depart int, attr string, delta float64) ([]float64, []int) {
 	g := c.Template
 	n := g.NumVertices()
 	final := make([]float64, n)
+	finalAt := make([]int, n)
 	isFinal := make([]bool, n)
 	for i := range final {
 		final[i] = Inf
+		finalAt[i] = -1
 	}
 	dist := make([]float64, n)
-	for ts := 0; ts < c.NumInstances(); ts++ {
+	for ts := depart; ts < c.NumInstances(); ts++ {
 		horizon := float64(ts+1) * delta
 		weights := c.Instance(ts).EdgeFloats(g, attr)
 		var h pq
 		for i := range dist {
 			dist[i] = Inf
 		}
-		if ts == 0 && src >= 0 && src < n {
-			dist[src] = 0
-			h = append(h, pqItem{v: int32(src), d: 0})
-		}
 		seed := float64(ts) * delta
+		if ts == depart && src >= 0 && src < n {
+			dist[src] = seed
+			h = append(h, pqItem{v: int32(src), d: seed})
+		}
 		for v := 0; v < n; v++ {
 			if isFinal[v] {
 				dist[v] = seed
@@ -99,10 +103,11 @@ func refTDSP(c *graph.Collection, src int, attr string, delta float64) []float64
 			if !isFinal[v] && dist[v] != Inf {
 				isFinal[v] = true
 				final[v] = dist[v]
+				finalAt[v] = ts
 			}
 		}
 	}
-	return final
+	return final, finalAt
 }
 
 // refMeme is the global temporal meme BFS: first-colored timestep per

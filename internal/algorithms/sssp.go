@@ -2,42 +2,12 @@ package algorithms
 
 import (
 	"fmt"
-	"sort"
 
 	"tsgraph/internal/bsp"
 	"tsgraph/internal/core"
 	"tsgraph/internal/graph"
 	"tsgraph/internal/subgraph"
 )
-
-// sendBatches emits one LabelBatch message per destination subgraph, in
-// deterministic order (sorted destinations, sorted vertices within each
-// batch).
-func sendBatches(send func(dst subgraph.ID, payload any), remote map[remoteKey]remoteCand) {
-	batches := batchRemote(remote)
-	dsts := make([]subgraph.ID, 0, len(batches))
-	for dst := range batches {
-		dsts = append(dsts, dst)
-	}
-	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-	for _, dst := range dsts {
-		b := batches[dst]
-		order := make([]int, len(b.Vertices))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(i, j int) bool { return b.Vertices[order[i]] < b.Vertices[order[j]] })
-		sorted := &LabelBatch{
-			Vertices: make([]int32, len(order)),
-			Labels:   make([]float64, len(order)),
-		}
-		for i, o := range order {
-			sorted.Vertices[i] = b.Vertices[o]
-			sorted.Labels[i] = b.Labels[o]
-		}
-		send(dst, *sorted)
-	}
-}
 
 // SSSPProgram is the subgraph-centric single-source shortest path of the
 // GoFFish model: each superstep runs Dijkstra inside every active subgraph
@@ -73,25 +43,16 @@ func NewSSSP(parts []*subgraph.PartitionData, source int, weightAttr string) *SS
 // weightFn builds the local-edge weight function for the current instance,
 // honoring the optional isExists attribute.
 func (p *SSSPProgram) weightFn(ctx *core.Context, sg *subgraph.Subgraph) func(int) float64 {
+	if p.WeightAttr != "" {
+		return edgeWeightFn(ctx, sg, p.WeightAttr, p.ExistsAttr)
+	}
 	eg := sg.Part.EdgeGlobal
 	exists := existsFn(ctx, p.ExistsAttr)
-	if p.WeightAttr == "" {
-		return func(e int) float64 {
-			if !exists(int(eg[e])) {
-				return skipEdge
-			}
-			return 1
-		}
-	}
-	col := ctx.Instance().EdgeFloats(ctx.Template(), p.WeightAttr)
-	if col == nil {
-		panic(fmt.Sprintf("algorithms: template lacks float edge attribute %q", p.WeightAttr))
-	}
 	return func(e int) float64 {
 		if !exists(int(eg[e])) {
 			return skipEdge
 		}
-		return col[eg[e]]
+		return 1
 	}
 }
 
@@ -145,7 +106,7 @@ func (p *SSSPProgram) Compute(ctx *core.Context, sg *subgraph.Subgraph, timestep
 
 	if len(roots) > 0 {
 		remote := modifiedSSSP(sg, labels, nil, roots, Inf, p.weightFn(ctx, sg))
-		sendBatches(ctx.SendTo, remote)
+		forEachBatch(remote, func(dst subgraph.ID, b LabelBatch) { ctx.SendTo(dst, b) })
 	}
 	ctx.VoteToHalt()
 }
@@ -176,12 +137,10 @@ func RunSSSP(
 	cfg bsp.Config,
 ) ([]float64, *core.Result, error) {
 	prog := NewSSSP(parts, src, weightAttr)
-	// A single-instance window over the requested timestep.
-	win := windowSource{src: source, offset: timestep, n: 1}
 	res, err := core.Run(&core.Job{
 		Template:  t,
 		Parts:     parts,
-		Source:    win,
+		Source:    core.Window{Src: source, Lo: timestep, Hi: timestep + 1},
 		Program:   prog,
 		Pattern:   core.SequentiallyDependent,
 		Timesteps: 1,
@@ -191,19 +150,4 @@ func RunSSSP(
 		return nil, nil, err
 	}
 	return prog.Distances(parts, t), res, nil
-}
-
-// windowSource exposes a sub-range of another source.
-type windowSource struct {
-	src    core.InstanceSource
-	offset int
-	n      int
-}
-
-// Timesteps implements core.InstanceSource.
-func (w windowSource) Timesteps() int { return w.n }
-
-// Load implements core.InstanceSource.
-func (w windowSource) Load(step int) (*graph.Instance, error) {
-	return w.src.Load(w.offset + step)
 }

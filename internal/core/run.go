@@ -44,6 +44,33 @@ func (m MemorySource) Load(timestep int) (*graph.Instance, error) {
 	return m.C.Instance(timestep), nil
 }
 
+// Window exposes source timesteps [Lo, Hi) of Src as timesteps [0, Hi-Lo).
+// With Lo 0 it pins a view of a growing dataset to its first Hi timesteps:
+// published instances are immutable, so a sweep admitted at one watermark
+// reads a consistent snapshot even while live ingestion appends behind it —
+// the appended timesteps simply don't exist for it.
+type Window struct {
+	Src    InstanceSource
+	Lo, Hi int
+}
+
+// Timesteps implements InstanceSource.
+func (w Window) Timesteps() int { return w.Hi - w.Lo }
+
+// Load implements InstanceSource.
+func (w Window) Load(timestep int) (*graph.Instance, error) {
+	return w.Src.Load(w.Lo + timestep)
+}
+
+// Delta implements DeltaSource, passing through when Src can report change
+// summaries; nil means unknown and is always safe.
+func (w Window) Delta(timestep int) *graph.Delta {
+	if ds, ok := w.Src.(DeltaSource); ok {
+		return ds.Delta(w.Lo + timestep)
+	}
+	return nil
+}
+
 // Job describes a TI-BSP application run.
 type Job struct {
 	// Template is the time-invariant topology.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tsgraph/internal/bsp"
+	"tsgraph/internal/graph"
 	"tsgraph/internal/subgraph"
 )
 
@@ -92,5 +93,44 @@ func TestStartTimestepValidation(t *testing.T) {
 	job.StartTimestep = 4 // == Source.Timesteps()
 	if _, err := Run(job); err == nil {
 		t.Error("StartTimestep past the source accepted")
+	}
+}
+
+// windowedSource is a DeltaSource that reports which timesteps were asked.
+type windowedSource struct {
+	MemorySource
+	loads, deltas []int
+}
+
+func (s *windowedSource) Load(ts int) (*graph.Instance, error) {
+	s.loads = append(s.loads, ts)
+	return s.MemorySource.Load(ts)
+}
+
+func (s *windowedSource) Delta(ts int) *graph.Delta {
+	s.deltas = append(s.deltas, ts)
+	return nil
+}
+
+// TestWindowMapsTimesteps: Window{Lo, Hi} shows source timesteps [Lo, Hi) as
+// [0, Hi-Lo) for loads and change summaries alike, and a source without
+// change summaries reports none.
+func TestWindowMapsTimesteps(t *testing.T) {
+	f := newFixture(t, 6, 2)
+	src := &windowedSource{MemorySource: MemorySource{C: f.c}}
+	w := Window{Src: src, Lo: 2, Hi: 5}
+	if w.Timesteps() != 3 {
+		t.Fatalf("Timesteps = %d, want 3", w.Timesteps())
+	}
+	ins, err := w.Load(1)
+	if err != nil || ins != f.c.Instance(3) {
+		t.Fatalf("Load(1) = %v, %v; want source instance 3", ins, err)
+	}
+	w.Delta(2)
+	if len(src.loads) != 1 || src.loads[0] != 3 || len(src.deltas) != 1 || src.deltas[0] != 4 {
+		t.Fatalf("source saw loads %v deltas %v, want [3] [4]", src.loads, src.deltas)
+	}
+	if d := (Window{Src: MemorySource{C: f.c}, Hi: 4}).Delta(1); d != nil {
+		t.Fatalf("Delta over a plain source = %v, want nil", d)
 	}
 }

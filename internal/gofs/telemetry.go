@@ -20,8 +20,8 @@ import (
 // bounds — cheap relative to the milliseconds a pack decode or file read
 // costs, so the storage hot path stays undistorted.
 type Telemetry struct {
-	packDecode storageHist
-	sliceRead  storageHist
+	packDecode *obs.Histogram
+	sliceRead  *obs.Histogram
 	bytesRead  atomic.Int64
 
 	// Encoding shape, computed from the manifest at Open and refreshed on
@@ -36,7 +36,12 @@ type Telemetry struct {
 // number of patches a decode applies on top of a snapshot (always 0 for
 // full-format datasets).
 func newTelemetry(m *Manifest) *Telemetry {
-	t := &Telemetry{}
+	// 16µs first bound: the last finite one is ~8.4s, so pack decodes on
+	// cold spinning storage fit.
+	t := &Telemetry{
+		packDecode: obs.NewHistogram(16 * time.Microsecond),
+		sliceRead:  obs.NewHistogram(16 * time.Microsecond),
+	}
 	t.updateShape(m)
 	return t
 }
@@ -76,7 +81,7 @@ func (t *Telemetry) ObservePackDecode(d time.Duration) {
 	if t == nil {
 		return
 	}
-	t.packDecode.observe(d)
+	t.packDecode.Observe(d)
 }
 
 // ObserveSliceRead records one slice-file read's wall time.
@@ -84,7 +89,7 @@ func (t *Telemetry) ObserveSliceRead(d time.Duration) {
 	if t == nil {
 		return
 	}
-	t.sliceRead.observe(d)
+	t.sliceRead.Observe(d)
 }
 
 // AddBytesRead accumulates bytes read off disk (pre-decompression).
@@ -105,10 +110,10 @@ func (t *Telemetry) BytesRead() int64 {
 
 // CollectObs implements obs.Collector with the tsgofs_* families.
 func (t *Telemetry) CollectObs(emit func(obs.Sample)) {
-	t.packDecode.emit(emit, "tsgofs_pack_decode_seconds",
-		"Wall time materializing one temporal pack (all slice files decoded and assembled).")
-	t.sliceRead.emit(emit, "tsgofs_slice_read_seconds",
-		"Wall time reading and decoding one slice file.")
+	t.packDecode.Emit(emit, "tsgofs_pack_decode_seconds",
+		"Wall time materializing one temporal pack (all slice files decoded and assembled).", nil)
+	t.sliceRead.Emit(emit, "tsgofs_slice_read_seconds",
+		"Wall time reading and decoding one slice file.", nil)
 	emit(obs.Sample{Name: "tsgofs_bytes_read_total",
 		Help: "Bytes read from slice files (before decompression).",
 		Kind: "counter", Value: float64(t.bytesRead.Load())})
@@ -121,57 +126,6 @@ func (t *Telemetry) CollectObs(emit func(obs.Sample)) {
 	emit(obs.Sample{Name: "tsgofs_delta_steps",
 		Help: "Timesteps stored as delta records.",
 		Kind: "gauge", Value: float64(t.deltaSteps.Load())})
-}
-
-// storageHist is a compact log-2 latency histogram: 20 doubling buckets
-// from 16µs (so the last finite bound is ~8.4s — pack decodes on cold
-// spinning storage fit), plus overflow. Same shape as obs/live's
-// Histogram, duplicated rather than imported to keep gofs free of the
-// serving-layer package.
-const (
-	numStorageBuckets = 20
-	baseStorageBucket = 16 * time.Microsecond
-)
-
-type storageHist struct {
-	counts [numStorageBuckets + 1]atomic.Uint64
-	sumNS  atomic.Int64
-	count  atomic.Uint64
-}
-
-var storageBounds = func() [numStorageBuckets]int64 {
-	var b [numStorageBuckets]int64
-	bound := int64(baseStorageBucket)
-	for i := range b {
-		b[i] = bound
-		bound *= 2
-	}
-	return b
-}()
-
-func (h *storageHist) observe(d time.Duration) {
-	ns := d.Nanoseconds()
-	i := 0
-	for i < numStorageBuckets && ns > storageBounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.sumNS.Add(ns)
-	h.count.Add(1)
-}
-
-func (h *storageHist) emit(emitFn func(obs.Sample), family, help string) {
-	les := make([]float64, numStorageBuckets)
-	cum := make([]uint64, numStorageBuckets)
-	var running uint64
-	for i := 0; i < numStorageBuckets; i++ {
-		les[i] = time.Duration(storageBounds[i]).Seconds()
-		running += h.counts[i].Load()
-		cum[i] = running
-	}
-	count := running + h.counts[numStorageBuckets].Load()
-	obs.EmitHistogram(emitFn, family, help, nil, les, cum,
-		time.Duration(h.sumNS.Load()).Seconds(), count)
 }
 
 // countingReader counts bytes pulled through it into a Telemetry.

@@ -51,10 +51,10 @@ func TestTelemetryObservesReads(t *testing.T) {
 	if tel.bytesRead.Load() <= 0 {
 		t.Fatal("bytes-read counter did not advance")
 	}
-	if n := tel.sliceRead.count.Load(); n == 0 {
+	if n := tel.sliceRead.Count(); n == 0 {
 		t.Fatal("slice-read histogram observed nothing")
 	}
-	if n := tel.packDecode.count.Load(); n == 0 {
+	if n := tel.packDecode.Count(); n == 0 {
 		t.Fatal("pack-decode histogram observed nothing")
 	}
 }

@@ -27,9 +27,6 @@ type Options struct {
 	// fsync. Zero still group-commits opportunistically: appends arriving
 	// while an fsync is in flight are covered together by the next one.
 	GroupCommitWindow time.Duration
-	// Metrics receives the ingest instrumentation; allocated internally
-	// when nil. Register it (or Ingester.Metrics()) with the obs.Registry.
-	Metrics *Metrics
 }
 
 // Ingester is the live-append pipeline over an open dataset:
@@ -80,10 +77,7 @@ func Open(store *gofs.Store, opt Options) (*Ingester, error) {
 	if opt.WALRotateRecords <= 0 {
 		opt.WALRotateRecords = 64
 	}
-	met := opt.Metrics
-	if met == nil {
-		met = &Metrics{}
-	}
+	met := newMetrics()
 	app, err := gofs.NewAppender(store)
 	if err != nil {
 		return nil, err
@@ -92,7 +86,7 @@ func Open(store *gofs.Store, opt Options) (*Ingester, error) {
 	if err != nil {
 		return nil, err
 	}
-	wal.OnFsync = met.walFsync.observe
+	wal.OnFsync = met.walFsync.Observe
 	wal.GroupWindow = opt.GroupCommitWindow
 	ing := &Ingester{store: store, met: met, opt: opt, app: app, wal: wal}
 	for _, payload := range recovered {

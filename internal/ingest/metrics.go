@@ -27,12 +27,20 @@ var stageNames = [numStages]string{"validate", "wal", "fold", "publish"}
 type Metrics struct {
 	appends      atomic.Uint64
 	failures     atomic.Uint64
-	stages       [numStages]ingestHist
-	walFsync     ingestHist
+	stages       [numStages]*obs.Histogram
+	walFsync     *obs.Histogram
 	walBytes     atomic.Int64
 	watermark    atomic.Int64
 	lastAppendNS atomic.Int64 // wall clock of the last successful append, 0 = never
 	trimmedBytes atomic.Int64
+}
+
+func newMetrics() *Metrics {
+	m := &Metrics{walFsync: obs.NewHistogram(16 * time.Microsecond)}
+	for i := range m.stages {
+		m.stages[i] = obs.NewHistogram(16 * time.Microsecond)
+	}
+	return m
 }
 
 // observeStage records one stage's wall time.
@@ -40,7 +48,7 @@ func (m *Metrics) observeStage(stage int, d time.Duration) {
 	if m == nil {
 		return
 	}
-	m.stages[stage].observe(d)
+	m.stages[stage].Observe(d)
 }
 
 // SecondsSinceLastAppend returns the watermark lag: how long ago the last
@@ -66,11 +74,11 @@ func (m *Metrics) CollectObs(emit func(obs.Sample)) {
 		Help: "Mutations rejected or failed at any ingest stage.",
 		Kind: "counter", Value: float64(m.failures.Load())})
 	for i := range m.stages {
-		m.stages[i].emit(emit, "tsingest_stage_seconds",
+		m.stages[i].Emit(emit, "tsingest_stage_seconds",
 			"Wall time per ingest stage (validate, wal, fold, publish).",
 			[]obs.Label{{Key: "stage", Value: stageNames[i]}})
 	}
-	m.walFsync.emit(emit, "tsingest_wal_fsync_seconds",
+	m.walFsync.Emit(emit, "tsingest_wal_fsync_seconds",
 		"Wall time of the WAL fsync on each append.", nil)
 	emit(obs.Sample{Name: "tsingest_wal_bytes",
 		Help: "Current size of the ingest write-ahead log.",
@@ -84,53 +92,4 @@ func (m *Metrics) CollectObs(emit func(obs.Sample)) {
 	emit(obs.Sample{Name: "tsingest_retention_trimmed_bytes_total",
 		Help: "Bytes of superseded tail-pack generations deleted by retention.",
 		Kind: "counter", Value: float64(m.trimmedBytes.Load())})
-}
-
-// ingestHist is the same compact log-2 latency histogram gofs's telemetry
-// uses (20 doubling buckets from 16µs plus overflow), duplicated because
-// that one is unexported and deliberately package-local.
-const (
-	numIngestBuckets = 20
-	baseIngestBucket = 16 * time.Microsecond
-)
-
-type ingestHist struct {
-	counts [numIngestBuckets + 1]atomic.Uint64
-	sumNS  atomic.Int64
-	count  atomic.Uint64
-}
-
-var ingestBounds = func() [numIngestBuckets]int64 {
-	var b [numIngestBuckets]int64
-	bound := int64(baseIngestBucket)
-	for i := range b {
-		b[i] = bound
-		bound *= 2
-	}
-	return b
-}()
-
-func (h *ingestHist) observe(d time.Duration) {
-	ns := d.Nanoseconds()
-	i := 0
-	for i < numIngestBuckets && ns > ingestBounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.sumNS.Add(ns)
-	h.count.Add(1)
-}
-
-func (h *ingestHist) emit(emitFn func(obs.Sample), family, help string, labels []obs.Label) {
-	les := make([]float64, numIngestBuckets)
-	cum := make([]uint64, numIngestBuckets)
-	var running uint64
-	for i := 0; i < numIngestBuckets; i++ {
-		les[i] = time.Duration(ingestBounds[i]).Seconds()
-		running += h.counts[i].Load()
-		cum[i] = running
-	}
-	count := running + h.counts[numIngestBuckets].Load()
-	obs.EmitHistogram(emitFn, family, help, labels, les, cum,
-		time.Duration(h.sumNS.Load()).Seconds(), count)
 }

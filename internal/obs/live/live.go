@@ -199,7 +199,7 @@ type Recorder struct {
 	nextID atomic.Uint64
 
 	// hists[class][0..2] are the queue/sweep/total latency histograms.
-	hists [][3]*Histogram
+	hists [][3]*obs.Histogram
 
 	total         atomic.Uint64 // queries finished
 	dropped       atomic.Uint64 // traces not retained (tail-sampled away)
@@ -262,10 +262,10 @@ func NewRecorder(cfg Config) *Recorder {
 		summaries: make([]Summary, cfg.SummaryCap),
 		byID:      make(map[uint64]*Trace),
 	}
-	r.hists = make([][3]*Histogram, len(r.classes))
+	r.hists = make([][3]*obs.Histogram, len(r.classes))
 	for c := range r.hists {
 		for i := range r.hists[c] {
-			r.hists[c][i] = &Histogram{}
+			r.hists[c][i] = obs.NewHistogram(64 * time.Microsecond)
 		}
 	}
 	return r
@@ -504,7 +504,7 @@ func (r *Recorder) Quantile(class, stage int, q float64) time.Duration {
 	if r == nil || class < 0 || class >= len(r.hists) || stage < 0 || stage > 2 {
 		return 0
 	}
-	return r.hists[class][stage].Snapshot().Quantile(q)
+	return r.hists[class][stage].Quantile(q)
 }
 
 // SLO exposes the recorder's SLO tracker (nil when the recorder is nil).
@@ -541,7 +541,7 @@ func (r *Recorder) CollectObs(emit func(obs.Sample)) {
 	p := r.cfg.MetricPrefix
 	for c, name := range r.classes {
 		for st, stageName := range histStageNames {
-			r.hists[c][st].emit(emit, p+"_latency_seconds",
+			r.hists[c][st].Emit(emit, p+"_latency_seconds",
 				"Query latency by class and lifecycle stage (log-bucketed).",
 				[]obs.Label{{Key: "class", Value: name}, {Key: "stage", Value: stageName}})
 		}

@@ -186,41 +186,6 @@ func TestFinishIdempotent(t *testing.T) {
 	nilR.CollectObs(func(obs.Sample) { t.Fatal("nil recorder emitted") })
 }
 
-// TestHistogramQuantile: observations land in the right buckets and the
-// interpolated quantiles are monotone and within bucket bounds.
-func TestHistogramQuantile(t *testing.T) {
-	var h Histogram
-	if got := h.Snapshot().Quantile(0.99); got != 0 {
-		t.Fatalf("empty histogram quantile = %v", got)
-	}
-	for i := 0; i < 900; i++ {
-		h.Observe(100 * time.Microsecond)
-	}
-	for i := 0; i < 100; i++ {
-		h.Observe(50 * time.Millisecond)
-	}
-	s := h.Snapshot()
-	if s.Count != 1000 {
-		t.Fatalf("count = %d", s.Count)
-	}
-	p50, p99 := s.Quantile(0.50), s.Quantile(0.99)
-	if p50 > p99 {
-		t.Fatalf("quantiles not monotone: p50=%v p99=%v", p50, p99)
-	}
-	if p50 < 64*time.Microsecond || p50 > 256*time.Microsecond {
-		t.Errorf("p50 = %v, want ~100µs bucket", p50)
-	}
-	if p99 < 16*time.Millisecond || p99 > 128*time.Millisecond {
-		t.Errorf("p99 = %v, want ~50ms bucket", p99)
-	}
-	// Overflow beyond the last finite bound still counts and clamps.
-	h.Observe(10 * time.Minute)
-	s = h.Snapshot()
-	if s.Count != 1001 {
-		t.Fatalf("overflow observation lost: count=%d", s.Count)
-	}
-}
-
 // TestSLOBurnRate: burn rate reflects the windowed bad ratio over the
 // budget, and old slots age out under the injected clock.
 func TestSLOBurnRate(t *testing.T) {

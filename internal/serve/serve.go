@@ -117,30 +117,6 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// boundedSource pins a sweep's view of the resident graph to the first
-// steps timesteps. Published instances are immutable, so a sweep admitted
-// at one watermark reads a consistent snapshot even while live ingestion
-// appends behind it — the appended timesteps simply don't exist for it.
-type boundedSource struct {
-	src   core.InstanceSource
-	steps int
-}
-
-func (b boundedSource) Timesteps() int { return b.steps }
-
-func (b boundedSource) Load(timestep int) (*graph.Instance, error) {
-	return b.src.Load(timestep)
-}
-
-// Delta passes through when the underlying source can report change
-// summaries; nil means unknown and is always safe.
-func (b boundedSource) Delta(timestep int) *graph.Delta {
-	if ds, ok := b.src.(core.DeltaSource); ok {
-		return ds.Delta(timestep)
-	}
-	return nil
-}
-
 // flight is one in-flight computation of a keyed query; late arrivals with
 // the same key wait on done instead of queueing duplicate work.
 type flight struct {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -219,22 +218,10 @@ func TestServedAnswersMatchOffline(t *testing.T) {
 		t.Error(err)
 	}
 
-	// Anchor the batch path to the canonical single-source tool: the served
-	// arrival must equal RunTDSP's.
-	full, _, err := algorithms.RunTDSP(g, parts, 0, src, fixDelta, gen.AttrLatency, bsp.Config{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ans, err := s.Submit(context.Background(), Query{Kind: "tdsp", Source: 0, Target: 63})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ans.TDSP.Reached && math.Abs(ans.TDSP.Arrival-full[63]) > 1e-9 {
-		t.Fatalf("served arrival %v, offline RunTDSP %v", ans.TDSP.Arrival, full[63])
-	}
-	if !ans.TDSP.Reached && !math.IsInf(full[63], 1) {
-		t.Fatalf("served unreached but offline arrival %v", full[63])
-	}
+	// The oracle above is the same Algorithm 2 program the server sweeps, so
+	// it pins the serving machinery, not the algorithm: the batch program is
+	// anchored to an independent reference on this fixture's graph (seed 7)
+	// by algorithms.TestBatchTDSPMatchesReference.
 }
 
 // gatedSource blocks instance loads until released, making scheduler states
@@ -518,7 +505,7 @@ func TestWatermarkPinning(t *testing.T) {
 	g, parts, src := fixture(t)
 	s := newServer(t, baseOptions(g, parts, src))
 	const pin = 5
-	prefix := boundedSource{src, pin}
+	prefix := core.Window{Src: src, Hi: pin}
 
 	queries := []Query{
 		{Kind: "tdsp", Source: 0, Target: 63, Depart: 2, Watermark: pin},

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"tsgraph/internal/algorithms"
+	"tsgraph/internal/core"
 )
 
 // TDSPLookup reads one (source, target) answer out of a completed TDSP
@@ -53,7 +54,7 @@ func (l localSweeper) SweepTDSP(_ context.Context, watermark, depart int, querie
 	s := l.s
 	prog, _, err := algorithms.RunBatchTDSP(
 		s.opt.Template, s.opt.Parts, queries, depart,
-		boundedSource{s.sources[ClassTDSP], watermark},
+		core.Window{Src: s.sources[ClassTDSP], Hi: watermark},
 		s.opt.Delta, s.opt.WeightAttr, s.cfg, nil, s.opt.Tracer)
 	if err != nil {
 		return nil, err
@@ -65,7 +66,7 @@ func (l localSweeper) SweepTopN(_ context.Context, watermark int, attr string, n
 	s := l.s
 	steps, _, err := algorithms.RunTopNRange(
 		s.opt.Template, s.opt.Parts, attr, n,
-		boundedSource{s.sources[ClassTopN], watermark},
+		core.Window{Src: s.sources[ClassTopN], Hi: watermark},
 		from, count, s.cfg, nil, s.topNParallelism(count))
 	if err != nil {
 		return nil, err
@@ -84,7 +85,7 @@ func (l localSweeper) SweepMeme(_ context.Context, watermark int, tag string, pr
 	s := l.s
 	coloredAt, _, err := algorithms.RunMeme(
 		s.opt.Template, s.opt.Parts, tag, s.opt.TweetsAttr,
-		boundedSource{s.sources[ClassMeme], watermark}, s.cfg, nil)
+		core.Window{Src: s.sources[ClassMeme], Hi: watermark}, s.cfg, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -86,7 +86,12 @@ type Rank struct {
 	ranks  []int // global ranks of my group, member-ordered
 	local  []*subgraph.PartitionData
 	bspCfg bsp.Config
-	node   *cluster.Node // nil for single-member groups
+	// node and mesh are nil for single-member groups. The mesh's engine is
+	// built and bound to the node once, before the node starts: binding per
+	// sweep would let a faster peer's first-superstep frames land in the
+	// previous sweep's engine.
+	node *cluster.Node
+	mesh *algorithms.Mesh
 
 	ln      net.Listener
 	sweepMu sync.Mutex
@@ -153,6 +158,9 @@ func NewRank(cfg RankConfig) (*Rank, error) {
 			return nil, err
 		}
 		r.node = node
+		engine := bsp.NewEngineRemote(r.local, r.bspCfg, node)
+		node.Bind(engine)
+		r.mesh = &algorithms.Mesh{Remote: node, Coordinator: node, Engine: engine, Local: r.local}
 	}
 	return r, nil
 }
@@ -285,22 +293,12 @@ func (r *Rank) ownsVertex(v int) bool {
 }
 
 func (r *Rank) tdsp(req *Request, resp *Response) error {
-	src := prefixSource{r.cfg.Source, req.WM}
-	var prog *algorithms.BatchTDSPProgram
-	var err error
-	if len(r.ranks) > 1 {
-		engine := bsp.NewEngineRemote(r.local, r.bspCfg, r.node)
-		r.node.Bind(engine)
-		prog, _, err = algorithms.RunBatchTDSPDistributed(
-			r.cfg.Template, r.cfg.Parts, r.local, req.Queries, req.Depart,
-			src, r.cfg.Delta, r.cfg.WeightAttr, r.bspCfg,
-			r.node, r.node, engine, r.cfg.Tracer)
-	} else {
-		prog, _, err = algorithms.RunBatchTDSP(
-			r.cfg.Template, r.local, req.Queries, req.Depart,
-			src, r.cfg.Delta, r.cfg.WeightAttr, r.bspCfg, nil, r.cfg.Tracer)
-	}
+	prog, err := algorithms.NewBatchTDSP(r.cfg.Parts, req.Queries, req.Depart, r.cfg.Delta, r.cfg.WeightAttr)
 	if err != nil {
+		return err
+	}
+	if _, err := prog.Sweep(r.cfg.Template, r.cfg.Parts, core.Window{Src: r.cfg.Source, Hi: req.WM},
+		r.bspCfg, nil, r.cfg.Tracer, r.mesh); err != nil {
 		return err
 	}
 	for si, q := range req.Queries {
@@ -330,7 +328,7 @@ func (r *Rank) topn(req *Request, resp *Response) error {
 	}
 	steps, _, err := algorithms.RunTopNRange(
 		r.cfg.Template, r.local, req.Attr, req.N,
-		prefixSource{r.cfg.Source, req.WM},
+		core.Window{Src: r.cfg.Source, Hi: req.WM},
 		req.From, req.Count, r.bspCfg, nil, par)
 	if err != nil {
 		return err
@@ -346,22 +344,12 @@ func (r *Rank) topn(req *Request, resp *Response) error {
 }
 
 func (r *Rank) meme(req *Request, resp *Response) error {
-	src := prefixSource{r.cfg.Source, req.WM}
-	var coloredAt []int32
-	var err error
-	if len(r.ranks) > 1 {
-		engine := bsp.NewEngineRemote(r.local, r.bspCfg, r.node)
-		r.node.Bind(engine)
-		coloredAt, _, err = algorithms.RunMemeDistributed(
-			r.cfg.Template, r.cfg.Parts, r.local, req.Tag, r.cfg.TweetsAttr,
-			src, r.bspCfg, r.node, r.node, engine, r.cfg.Tracer)
-	} else {
-		coloredAt, _, err = algorithms.RunMeme(
-			r.cfg.Template, r.local, req.Tag, r.cfg.TweetsAttr, src, r.bspCfg, nil)
-	}
-	if err != nil {
+	prog := algorithms.NewMeme(r.cfg.Parts, req.Tag, r.cfg.TweetsAttr)
+	if _, err := prog.Sweep(r.cfg.Template, r.cfg.Parts, core.Window{Src: r.cfg.Source, Hi: req.WM},
+		r.bspCfg, nil, r.cfg.Tracer, r.mesh); err != nil {
 		return err
 	}
+	coloredAt := prog.ColoredAt(r.local, r.cfg.Template)
 	// ColoredAt is template-indexed with -1 for both uncolored and
 	// non-owned vertices, so counting >= 0 entries counts exactly the
 	// owned colored vertices; the group total is the plain sum.

@@ -135,26 +135,3 @@ func (h headSource) Timesteps() int { return h.s.Timesteps() }
 func (h headSource) Load(timestep int) (*graph.Instance, error) {
 	return nil, fmt.Errorf("shard: router must not load instances (timestep %d)", timestep)
 }
-
-// prefixSource pins a rank's sweep to the router-chosen watermark, exactly
-// like the serving tier's bounded source: published instances are
-// immutable, so every member of the group reads the same snapshot.
-type prefixSource struct {
-	src   core.InstanceSource
-	steps int
-}
-
-func (p prefixSource) Timesteps() int { return p.steps }
-
-func (p prefixSource) Load(timestep int) (*graph.Instance, error) {
-	return p.src.Load(timestep)
-}
-
-// Delta passes through change summaries when the underlying source has
-// them; nil means unknown and is always safe.
-func (p prefixSource) Delta(timestep int) *graph.Delta {
-	if ds, ok := p.src.(core.DeltaSource); ok {
-		return ds.Delta(timestep)
-	}
-	return nil
-}

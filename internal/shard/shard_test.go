@@ -29,8 +29,12 @@ const (
 // tweets over fixParts partitions, so every query class has data and
 // groups of 2 members own 2 partitions each.
 func fixture(tb testing.TB) (*graph.Template, []*subgraph.PartitionData, *partition.Assignment, core.MemorySource) {
+	return fixtureSized(tb, 8, 8)
+}
+
+func fixtureSized(tb testing.TB, rows, cols int) (*graph.Template, []*subgraph.PartitionData, *partition.Assignment, core.MemorySource) {
 	tb.Helper()
-	g := gen.RoadNetwork(gen.RoadConfig{Rows: 8, Cols: 8, RemoveFrac: 0.1, Seed: 7})
+	g := gen.RoadNetwork(gen.RoadConfig{Rows: rows, Cols: cols, RemoveFrac: 0.1, Seed: 7})
 	sir, err := gen.SIRTweets(g, gen.SIRConfig{
 		Timesteps: fixSteps, T0: 0, Delta: fixDelta,
 		Memes: []string{fixMeme}, SeedsPerMeme: 2, HitProb: 0.35, Seed: 9,
@@ -118,6 +122,13 @@ func TestLayoutAssignmentRoundTrip(t *testing.T) {
 // layout plus the live ranks, rank-indexed.
 func bootShard(tb testing.TB, g *graph.Template, parts []*subgraph.PartitionData, a *partition.Assignment, src core.InstanceSource, numRanks, replicas int) (Layout, []*Rank) {
 	tb.Helper()
+	return bootShardRPC(tb, g, parts, a, src, numRanks, replicas, func(_ int, ln net.Listener) net.Listener { return ln })
+}
+
+// bootShardRPC is bootShard with each rank's RPC listener passed through
+// wrap, so a test can put a slow link between the router and one rank.
+func bootShardRPC(tb testing.TB, g *graph.Template, parts []*subgraph.PartitionData, a *partition.Assignment, src core.InstanceSource, numRanks, replicas int, wrap func(rank int, ln net.Listener) net.Listener) (Layout, []*Rank) {
+	tb.Helper()
 	l := Layout{Replicas: replicas}
 	rpcLns := make([]net.Listener, numRanks)
 	meshLns := make([]net.Listener, numRanks)
@@ -140,7 +151,7 @@ func bootShard(tb testing.TB, g *graph.Template, parts []*subgraph.PartitionData
 			Delta: fixDelta, WeightAttr: gen.AttrLatency, TweetsAttr: gen.AttrTweets,
 			Cores:      2,
 			Resilience: &cluster.Resilience{BackoffBase: 2 * time.Millisecond, BackoffCap: 50 * time.Millisecond, RecoveryWindow: 2 * time.Second},
-			Listener:   rpcLns[i], MeshListener: meshLns[i],
+			Listener:   wrap(i, rpcLns[i]), MeshListener: meshLns[i],
 		})
 		if err != nil {
 			tb.Fatal(err)
@@ -245,6 +256,70 @@ func TestShardedByteIdentical(t *testing.T) {
 			if string(got) != string(want) {
 				t.Fatalf("round %d query %+v:\nsharded %s\nlocal   %s", round, q, got, want)
 			}
+		}
+	}
+}
+
+// lateListener delays every read on the connections it accepts: a slow link
+// between the router and one rank.
+type lateListener struct {
+	net.Listener
+	delay time.Duration
+}
+
+func (l lateListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return lateConn{c, l.delay}, nil
+}
+
+type lateConn struct {
+	net.Conn
+	delay time.Duration
+}
+
+func (c lateConn) Read(p []byte) (int, error) {
+	time.Sleep(c.delay)
+	return c.Conn.Read(p)
+}
+
+// TestShardedSweepsBackToBack is the regression for engines bound per
+// sweep: 240 consecutive uncached TDSP and meme sweeps through one 2-member
+// mesh group must each be byte-identical to the single-process server, even
+// when one rank hears of every sweep a little after its peer has started
+// it. With a fresh engine bound per sweep the early peer's first-superstep
+// frames landed in the late rank's previous engine and were lost.
+func TestShardedSweepsBackToBack(t *testing.T) {
+	g, parts, a, src := fixtureSized(t, 24, 24)
+	l, _ := bootShardRPC(t, g, parts, a, src, 2, 1, func(rank int, ln net.Listener) net.Listener {
+		if rank == 1 {
+			return lateListener{ln, 2 * time.Millisecond}
+		}
+		return ln
+	})
+	sharded, _ := shardServer(t, g, parts, a, src, l)
+	local, err := serve.New(serve.Options{
+		Template: g, Parts: parts, Source: src,
+		Delta: fixDelta, WeightAttr: gen.AttrLatency, TweetsAttr: gen.AttrTweets,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+
+	n := int64(g.NumVertices())
+	for i := int64(0); i < 240; i++ {
+		// Every query is distinct, so the result cache answers none.
+		q := serve.Query{Kind: "tdsp", Source: i * 53 % n, Target: (i*101 + n/2) % n, Depart: int(i % 3)}
+		if i%4 == 3 {
+			v := i * 37 % n
+			q = serve.Query{Kind: "meme", Tag: fixMeme, Vertex: &v}
+		}
+		want := answerBytes(t, local, q)
+		if got := answerBytes(t, sharded, q); string(got) != string(want) {
+			t.Fatalf("sweep %d query %+v:\nsharded %s\nlocal   %s", i, q, got, want)
 		}
 	}
 }

@@ -352,8 +352,9 @@ func WriteEdgeList(w io.Writer, t *Template) error { return graph.WriteEdgeList(
 
 // TDSPProgram is the Time-Dependent Shortest Path program (paper Alg 2);
 // construct with NewTDSPProgram to set options (e.g. ExistsAttr for
-// isExists-aware traversal) and run it with Run.
-type TDSPProgram = algorithms.TDSPProgram
+// isExists-aware traversal) and run it with Run. The single-source program
+// is a batch of one of the multi-source program the serving tier sweeps.
+type TDSPProgram = algorithms.BatchTDSPProgram
 
 // NewTDSPProgram builds a TDSP program over partitioned data; src is a
 // template vertex index, delta the instance period δ.
