@@ -10,7 +10,6 @@ import (
 	"tsgraph/internal/core"
 	"tsgraph/internal/graph"
 	"tsgraph/internal/metrics"
-	"tsgraph/internal/obs"
 	"tsgraph/internal/subgraph"
 )
 
@@ -273,30 +272,6 @@ func (p *MemeProgram) ColoredAt(parts []*subgraph.PartitionData, t *graph.Templa
 	return out
 }
 
-// Sweep runs the program over every instance of source, in this process
-// over parts or, with a Mesh, as this rank's share of a distributed sweep
-// over parts (ColoredAt over Mesh.Local then yields the rank's authoritative
-// colorings).
-func (p *MemeProgram) Sweep(
-	t *graph.Template,
-	parts []*subgraph.PartitionData,
-	source core.InstanceSource,
-	cfg bsp.Config,
-	rec *metrics.Recorder,
-	tracer *obs.Tracer,
-	mesh *Mesh,
-) (*core.Result, error) {
-	return sweep(&core.Job{
-		Template: t,
-		Parts:    parts,
-		Source:   source,
-		Program:  p,
-		Config:   cfg,
-		Recorder: rec,
-		Tracer:   tracer,
-	}, mesh)
-}
-
 // RunMeme tracks a meme over every instance of a source and returns the
 // template-indexed first-colored timesteps plus the run result.
 func RunMeme(
@@ -309,7 +284,7 @@ func RunMeme(
 	rec *metrics.Recorder,
 ) ([]int32, *core.Result, error) {
 	prog := NewMeme(parts, meme, tweetsAttr)
-	res, err := prog.Sweep(t, parts, source, cfg, rec, nil, nil)
+	res, err := Sweep(&core.Job{Template: t, Parts: parts, Source: source, Program: prog, Config: cfg, Recorder: rec}, nil)
 	if err != nil {
 		return nil, nil, err
 	}

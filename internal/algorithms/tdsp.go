@@ -102,7 +102,9 @@ type srcSeed struct {
 // not a convergence-clean subgraph, which is exactly the property
 // incremental skipping relies on.
 type BatchTDSPProgram struct {
-	// Queries are the batch members; sources must be distinct.
+	// Queries are the batch members; sources must be distinct. Queries and
+	// Depart are fixed by the constructor, which sizes the state below from
+	// them; read them, do not change them.
 	Queries []BatchQuery
 	// Depart is the departure timestep shared by the whole batch; the run
 	// must start at this timestep (core.Job.StartTimestep).
@@ -296,44 +298,64 @@ func edgeWeightFn(ctx *core.Context, sg *subgraph.Subgraph, weightAttr, existsAt
 
 // Compute implements core.Program: Alg 2 lines 1–25, once per batch member,
 // over shared supersteps.
+//
+// Most subgraphs sit outside the TDSP wave in most timesteps, and what such
+// a call costs is what the elastic-headroom analysis (and Fig 7's idle
+// hosts) reads as idleness, so it is kept to the label reset alone. The
+// engine runs each timestep's calls on fresh goroutines with minimal
+// stacks: a deep call on this path (the seed-map lookup out of a wide
+// frame) crosses the initial stack and costs a ~2 µs growth per call, five
+// times the reset itself. Everything that expands labels therefore lives
+// in relax, entered only with messages to apply or, in the departure
+// timestep, a source to seed.
 func (p *BatchTDSPProgram) Compute(ctx *core.Context, sg *subgraph.Subgraph, timestep, superstep int, msgs []bsp.Message) {
+	if superstep == 0 {
+		p.reset(sg, timestep)
+	}
+	departing := superstep == 0 && timestep == p.Depart
+	if len(msgs) > 0 || (departing && len(p.srcLocal[sg.SID]) > 0) {
+		p.relax(ctx, sg, timestep, superstep, msgs)
+	}
+	ctx.VoteToHalt()
+}
+
+// reset is Alg 2 lines 3–11 at the top of a timestep: labels ← ∞ for every
+// live source; all other labels are discarded (edge values changed).
+// Retired queries are skipped wholesale — no rebuild, no re-seed, no
+// expansion — which is what keeps a batch member's cost proportional to its
+// own resolution time, not the batch's.
+func (p *BatchTDSPProgram) reset(sg *subgraph.Subgraph, timestep int) {
+	nv, verts := sg.Part.NumVertices(), sg.Verts
+	labels, final := p.labels[sg.Part.PID], p.final[sg.Part.PID]
+	for si := 0; si < p.nsrc; si++ {
+		if !p.live(si, timestep) {
+			continue
+		}
+		lab, fin := labels[si*nv:(si+1)*nv], final[si*nv:(si+1)*nv]
+		for _, lv := range verts {
+			lab[lv] = Inf
+			fin[lv] = false
+		}
+	}
+}
+
+// relax is the working half of Compute: collect each source's roots — its
+// seed at departure, its finalized set at any later superstep 0, improved
+// boundary labels after that — and expand them with one horizon-capped
+// ModifiedSSSP per source.
+func (p *BatchTDSPProgram) relax(ctx *core.Context, sg *subgraph.Subgraph, timestep, superstep int, msgs []bsp.Message) {
 	pd := sg.Part
 	nv := pd.NumVertices()
 	labels := p.labels[pd.PID]
 	final := p.final[pd.PID]
-	horizon := float64(timestep+1) * p.Delta
-	// Most subgraphs sit outside the TDSP wave in most timesteps; a call
-	// with no messages and no source to seed finds no roots and must stay
-	// allocation-free.
-	seeds := p.srcLocal[sg.SID]
-	var roots [][]int32
-	if len(msgs) > 0 || len(seeds) > 0 {
-		roots = make([][]int32, p.nsrc)
-	}
+	roots := make([][]int32, p.nsrc)
 
-	if superstep == 0 {
-		// Lines 3–11: labels ← ∞ for every live source; all other labels
-		// are discarded (edge values changed). Retired queries are skipped
-		// wholesale — no rebuild, no re-seed, no expansion — which is what
-		// keeps a batch member's cost proportional to its own resolution
-		// time, not the batch's.
-		for si := 0; si < p.nsrc; si++ {
-			if !p.live(si, timestep) {
-				continue
-			}
-			lab, fin := labels[si*nv:(si+1)*nv], final[si*nv:(si+1)*nv]
-			for _, lv := range sg.Verts {
-				lab[lv] = Inf
-				fin[lv] = false
-			}
-		}
-	}
 	switch {
 	case superstep == 0 && timestep == p.Depart:
 		// First timestep of the window: seed each source that lives in
 		// this subgraph at the departure time.
 		depart := float64(p.Depart) * p.Delta
-		for _, s := range seeds {
+		for _, s := range p.srcLocal[sg.SID] {
 			labels[s.si*nv+int(s.lv)] = depart
 			roots[s.si] = append(roots[s.si], s.lv)
 		}
@@ -373,6 +395,7 @@ func (p *BatchTDSPProgram) Compute(ctx *core.Context, sg *subgraph.Subgraph, tim
 		}
 	}
 
+	horizon := float64(timestep+1) * p.Delta
 	var weight func(int) float64
 	for si, r := range roots {
 		if len(r) == 0 {
@@ -387,7 +410,6 @@ func (p *BatchTDSPProgram) Compute(ctx *core.Context, sg *subgraph.Subgraph, tim
 			ctx.SendTo(dst, BatchLabelBatch{Source: int32(si), Vertices: b.Vertices, Labels: b.Labels})
 		})
 	}
-	ctx.VoteToHalt()
 }
 
 // EndOfTimestep implements Alg 2 lines 26–31 per batch member: finalize
@@ -548,36 +570,21 @@ func (p *BatchTDSPProgram) ArrivalsOf(si int, parts []*subgraph.PartitionData, t
 	return out
 }
 
-// Sweep is the one Algorithm 2 driver: it runs the program over source's
-// window [Depart, end), in this process over parts or, with a Mesh, as this
-// rank's share of a distributed sweep over parts. The Master-style global
-// termination follows from how the program was built — a NewTDSP program
-// stops once every vertex is finalized (the paper's WIKI run converges in 4
-// of 50 timesteps), a batch whose queries all name targets once every
-// target is, any other batch runs the window out — and is dropped on a
-// mesh (see Mesh).
-func (p *BatchTDSPProgram) Sweep(
-	t *graph.Template,
-	parts []*subgraph.PartitionData,
-	source core.InstanceSource,
-	cfg bsp.Config,
-	rec *metrics.Recorder,
-	tracer *obs.Tracer,
-	mesh *Mesh,
-) (*core.Result, error) {
-	job := &core.Job{
-		Template:      t,
-		Parts:         parts,
-		Source:        source,
-		Program:       p,
-		StartTimestep: p.Depart,
-		Config:        cfg,
-		Recorder:      rec,
-		Tracer:        tracer,
-	}
+// Sweep is the one Algorithm 2 driver. The caller fills the job's Template,
+// Parts, Source, Config and, if wanted, Recorder and Tracer; Sweep runs the
+// program over the source's window [Depart, end), in this process or, with
+// a Mesh, as this rank's share of a distributed sweep. The Master-style
+// global termination follows from how the program was built — a NewTDSP
+// program stops once every vertex is finalized (the paper's WIKI run
+// converges in 4 of 50 timesteps), a batch whose queries all name targets
+// once every target is, any other batch runs the window out — and is
+// dropped on a mesh (see the package-level Sweep).
+func (p *BatchTDSPProgram) Sweep(job *core.Job, mesh *Mesh) (*core.Result, error) {
+	job.Program = p
+	job.StartTimestep = p.Depart
 	counter, want := CounterTargetsDone, int64(0)
 	if p.results {
-		counter, want = CounterFinalized, int64(t.NumVertices())
+		counter, want = CounterFinalized, int64(job.Template.NumVertices())
 	} else {
 		for _, q := range p.Queries {
 			if len(q.Targets) == 0 {
@@ -599,7 +606,7 @@ func (p *BatchTDSPProgram) Sweep(
 			return done >= want
 		}
 	}
-	return sweep(job, mesh)
+	return Sweep(job, mesh)
 }
 
 // RunTDSP runs single-source TDSP from src over all instances of a source,
@@ -616,7 +623,7 @@ func RunTDSP(
 	rec *metrics.Recorder,
 ) ([]float64, *core.Result, error) {
 	prog := NewTDSP(parts, src, delta, weightAttr)
-	res, err := prog.Sweep(t, parts, source, cfg, rec, nil, nil)
+	res, err := prog.Sweep(&core.Job{Template: t, Parts: parts, Source: source, Config: cfg, Recorder: rec}, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -643,7 +650,7 @@ func RunBatchTDSP(
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := prog.Sweep(t, parts, source, cfg, rec, tracer, nil)
+	res, err := prog.Sweep(&core.Job{Template: t, Parts: parts, Source: source, Config: cfg, Recorder: rec, Tracer: tracer}, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -292,13 +292,25 @@ func (r *Rank) ownsVertex(v int) bool {
 	return OwnerMember(int(r.cfg.Assign.Parts[v]), len(r.ranks)) == r.member
 }
 
+// job is the part of a cross-partition sweep every query class shares: the
+// full partition set (see RankConfig.Parts) over the instances below the
+// batch's pinned watermark.
+func (r *Rank) job(watermark int) *core.Job {
+	return &core.Job{
+		Template: r.cfg.Template,
+		Parts:    r.cfg.Parts,
+		Source:   core.Window{Src: r.cfg.Source, Hi: watermark},
+		Config:   r.bspCfg,
+		Tracer:   r.cfg.Tracer,
+	}
+}
+
 func (r *Rank) tdsp(req *Request, resp *Response) error {
 	prog, err := algorithms.NewBatchTDSP(r.cfg.Parts, req.Queries, req.Depart, r.cfg.Delta, r.cfg.WeightAttr)
 	if err != nil {
 		return err
 	}
-	if _, err := prog.Sweep(r.cfg.Template, r.cfg.Parts, core.Window{Src: r.cfg.Source, Hi: req.WM},
-		r.bspCfg, nil, r.cfg.Tracer, r.mesh); err != nil {
+	if _, err := prog.Sweep(r.job(req.WM), r.mesh); err != nil {
 		return err
 	}
 	for si, q := range req.Queries {
@@ -345,8 +357,9 @@ func (r *Rank) topn(req *Request, resp *Response) error {
 
 func (r *Rank) meme(req *Request, resp *Response) error {
 	prog := algorithms.NewMeme(r.cfg.Parts, req.Tag, r.cfg.TweetsAttr)
-	if _, err := prog.Sweep(r.cfg.Template, r.cfg.Parts, core.Window{Src: r.cfg.Source, Hi: req.WM},
-		r.bspCfg, nil, r.cfg.Tracer, r.mesh); err != nil {
+	job := r.job(req.WM)
+	job.Program = prog
+	if _, err := algorithms.Sweep(job, r.mesh); err != nil {
 		return err
 	}
 	coloredAt := prog.ColoredAt(r.local, r.cfg.Template)

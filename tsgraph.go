@@ -353,7 +353,11 @@ func WriteEdgeList(w io.Writer, t *Template) error { return graph.WriteEdgeList(
 // TDSPProgram is the Time-Dependent Shortest Path program (paper Alg 2);
 // construct with NewTDSPProgram to set options (e.g. ExistsAttr for
 // isExists-aware traversal) and run it with Run. The single-source program
-// is a batch of one of the multi-source program the serving tier sweeps.
+// is a batch of one of the multi-source program the serving tier sweeps, so
+// the source is Queries[0].Source (there is no Source field) and the type
+// carries the batch's methods too. ExistsAttr is the only field to set
+// after construction: the constructor sizes its state from Queries and
+// Depart, and changing them afterwards desynchronizes it.
 type TDSPProgram = algorithms.BatchTDSPProgram
 
 // NewTDSPProgram builds a TDSP program over partitioned data; src is a
