@@ -344,23 +344,6 @@ func BenchmarkAblationPacking(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPageRankModels compares PageRank message volume under
-// the vertex-centric vs subgraph-centric models.
-func BenchmarkAblationPageRankModels(b *testing.B) {
-	b.ReportAllocs()
-	_, sw := benchDatasets(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.PageRankModelAblation(sw, 6, 15, benchCfg, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 2 {
-			b.Fatal("bad ablation")
-		}
-		b.ReportMetric(float64(rows[0].Messages)/float64(rows[1].Messages), "msg_reduction_x")
-	}
-}
-
 // BenchmarkExtensionElastic measures the elastic-scaling headroom analysis
 // (paper §IV-E future work).
 func BenchmarkExtensionElastic(b *testing.B) {

@@ -20,6 +20,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"time"
 
@@ -34,7 +35,7 @@ import (
 )
 
 // benchSchema versions the -json output layout. Bump it whenever the
-// top-level shape changes so perf-trajectory tooling can dispatch on it.
+// top-level shape changes so tooling that reads it can dispatch on it.
 const benchSchema = 3
 
 // gitSHA best-effort identifies the built revision: the module's VCS stamp
@@ -57,8 +58,33 @@ var allExps = []string{
 	"datasets", "edgecut", "scalability", "baseline", "timesteps",
 	"progress", "utilization", "distributed",
 	"ablation-partition", "ablation-temporal", "ablation-packing",
-	"ablation-pagerank", "ablation-compress", "elastic", "prefetch", "chaos",
-	"serve", "incremental", "obslive", "ingest", "shard",
+	"ablation-compress", "elastic", "prefetch", "chaos", "incremental",
+}
+
+// parseExps resolves a comma-separated -exp value to the set of
+// experiments to run. Every name must be "all" or one of allExps, so a
+// typo or a retired experiment fails the run instead of being dropped.
+func parseExps(spec string) (map[string]bool, error) {
+	wanted := map[string]bool{}
+	var unknown []string
+	for _, name := range strings.Split(spec, ",") {
+		name = strings.TrimSpace(name)
+		switch {
+		case name == "all":
+			for _, n := range allExps {
+				wanted[n] = true
+			}
+		case slices.Contains(allExps, name):
+			wanted[name] = true
+		default:
+			unknown = append(unknown, fmt.Sprintf("%q", name))
+		}
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("unknown -exp %s; options: all %s",
+			strings.Join(unknown, ", "), strings.Join(allExps, " "))
+	}
+	return wanted, nil
 }
 
 func main() {
@@ -87,6 +113,10 @@ func main() {
 	if *version {
 		fmt.Println("tsbench", obs.ReadBuildInfo())
 		return
+	}
+	wanted, err := parseExps(*exp)
+	if err != nil {
+		log.Fatal(err)
 	}
 	logger, err := live.InitLogging(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
@@ -172,23 +202,15 @@ func main() {
 	datasets := []*experiments.Dataset{road, sw}
 	fmt.Printf("datasets generated in %v\n\n", time.Since(start).Round(time.Millisecond))
 
-	wanted := map[string]bool{}
-	for _, name := range strings.Split(*exp, ",") {
-		wanted[strings.TrimSpace(name)] = true
-	}
-	want := func(name string) bool { return wanted["all"] || wanted[name] }
-	ran := false
 	report := map[string]any{}
 
-	if want("datasets") {
-		ran = true
+	if wanted["datasets"] {
 		rows := experiments.DatasetTable(road, sw)
 		report["datasets"] = rows
 		experiments.RenderDatasetTable(os.Stdout, rows)
 		fmt.Println()
 	}
-	if want("edgecut") {
-		ran = true
+	if wanted["edgecut"] {
 		rows, err := experiments.EdgeCutTable(datasets, ks, *seed)
 		if err != nil {
 			log.Fatal(err)
@@ -197,8 +219,7 @@ func main() {
 		experiments.RenderEdgeCutTable(os.Stdout, rows, ks)
 		fmt.Println()
 	}
-	if want("scalability") {
-		ran = true
+	if wanted["scalability"] {
 		cells, err := experiments.Scalability(datasets, ks, cfg, *seed, *repeats)
 		if err != nil {
 			log.Fatal(err)
@@ -207,8 +228,7 @@ func main() {
 		experiments.RenderScalability(os.Stdout, cells, ks)
 		fmt.Println()
 	}
-	if want("baseline") {
-		ran = true
+	if wanted["baseline"] {
 		rows, err := experiments.Baseline(datasets, 6, cfg, *seed)
 		if err != nil {
 			log.Fatal(err)
@@ -217,8 +237,7 @@ func main() {
 		experiments.RenderBaseline(os.Stdout, rows)
 		fmt.Println()
 	}
-	if want("timesteps") {
-		ran = true
+	if wanted["timesteps"] {
 		series, err := experiments.RunTimestepSeries(road, experiments.AlgoTDSP, ks, dir, 10, 5, *gcEvery, cfg, *seed)
 		if err != nil {
 			log.Fatal(err)
@@ -234,8 +253,7 @@ func main() {
 		experiments.RenderTimestepSeries(os.Stdout, series)
 		fmt.Println()
 	}
-	if want("progress") {
-		ran = true
+	if wanted["progress"] {
 		ps, _, err := experiments.RunProgress(road, experiments.AlgoTDSP, 6, cfg, *seed)
 		if err != nil {
 			log.Fatal(err)
@@ -251,8 +269,7 @@ func main() {
 		experiments.RenderProgress(os.Stdout, ps)
 		fmt.Println()
 	}
-	if want("utilization") {
-		ran = true
+	if wanted["utilization"] {
 		ur, err := experiments.RunUtilization(road, experiments.AlgoTDSP, 6, cfg, *seed)
 		if err != nil {
 			log.Fatal(err)
@@ -268,8 +285,7 @@ func main() {
 		experiments.RenderUtilization(os.Stdout, ur)
 		fmt.Println()
 	}
-	if want("distributed") {
-		ran = true
+	if wanted["distributed"] {
 		res, err := experiments.DistributedSmoke(road, *nodesN, 6, cfg, *seed,
 			experiments.DistributedSmokeOptions{
 				OnNode: func(n *cluster.Node) { reg.Register(n) },
@@ -299,8 +315,7 @@ func main() {
 		}
 		fmt.Println()
 	}
-	if want("ablation-partition") {
-		ran = true
+	if wanted["ablation-partition"] {
 		rows, err := experiments.PartitionerAblation(road, 6, cfg, *seed)
 		if err != nil {
 			log.Fatal(err)
@@ -309,8 +324,7 @@ func main() {
 		experiments.RenderPartitionerAblation(os.Stdout, rows)
 		fmt.Println()
 	}
-	if want("ablation-temporal") {
-		ran = true
+	if wanted["ablation-temporal"] {
 		rows, err := experiments.TemporalParallelismAblation(sw, 6, []int{1, 2, 4, 8}, cfg, *seed)
 		if err != nil {
 			log.Fatal(err)
@@ -319,18 +333,7 @@ func main() {
 		experiments.RenderTemporalParallelism(os.Stdout, rows)
 		fmt.Println()
 	}
-	if want("ablation-pagerank") {
-		ran = true
-		rows, err := experiments.PageRankModelAblation(sw, 6, 20, cfg, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		report["ablation-pagerank"] = rows
-		experiments.RenderPageRankModel(os.Stdout, rows)
-		fmt.Println()
-	}
-	if want("ablation-compress") {
-		ran = true
+	if wanted["ablation-compress"] {
 		rows, err := experiments.CompressionAblation(sw, 6, dir, *seed)
 		if err != nil {
 			log.Fatal(err)
@@ -339,8 +342,7 @@ func main() {
 		experiments.RenderCompressionAblation(os.Stdout, rows)
 		fmt.Println()
 	}
-	if want("elastic") {
-		ran = true
+	if wanted["elastic"] {
 		var rows []*experiments.ElasticHeadroomRow
 		for _, spec := range []struct {
 			ds   *experiments.Dataset
@@ -356,8 +358,7 @@ func main() {
 		experiments.RenderElasticHeadroom(os.Stdout, rows)
 		fmt.Println()
 	}
-	if want("prefetch") {
-		ran = true
+	if wanted["prefetch"] {
 		rows, err := experiments.PrefetchAblation(road, experiments.AlgoTDSP, 6, []int{1, 2, 4}, dir, 10, 5, cfg, *seed)
 		if err != nil {
 			log.Fatal(err)
@@ -366,8 +367,7 @@ func main() {
 		experiments.RenderPrefetch(os.Stdout, rows)
 		fmt.Println()
 	}
-	if want("chaos") {
-		ran = true
+	if wanted["chaos"] {
 		rows, err := experiments.ChaosTable(road, *nodesN, 6, cfg, *seed,
 			[]float64{0, 0.005, 0.02, 0.05})
 		if err != nil {
@@ -377,8 +377,7 @@ func main() {
 		experiments.RenderChaosTable(os.Stdout, *nodesN, rows)
 		fmt.Println()
 	}
-	if want("ablation-packing") {
-		ran = true
+	if wanted["ablation-packing"] {
 		rows, err := experiments.PackingAblation(road, 6, []int{1, 5, 10, 25}, dir, cfg, *seed)
 		if err != nil {
 			log.Fatal(err)
@@ -387,8 +386,7 @@ func main() {
 		experiments.RenderPackingAblation(os.Stdout, rows)
 		fmt.Println()
 	}
-	if want("incremental") {
-		ran = true
+	if wanted["incremental"] {
 		res, err := experiments.IncrementalAblation(road,
 			[]float64{0.01, 0.1, 0.5, 1}, 8, dir, 10, 5, 10, cfg, *seed)
 		if err != nil {
@@ -398,52 +396,8 @@ func main() {
 		experiments.RenderIncremental(os.Stdout, res)
 		fmt.Println()
 	}
-	if want("serve") {
-		ran = true
-		rows, err := experiments.ServeBench(experiments.ServeConcurrencies, 256, cfg, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		report["serve"] = rows
-		experiments.RenderServeBench(os.Stdout, rows)
-		fmt.Println()
-	}
-	if want("obslive") {
-		ran = true
-		rows, err := experiments.ObsLiveAblation(experiments.ServeConcurrencies, 256, cfg, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		report["obslive"] = rows
-		experiments.RenderObsLive(os.Stdout, rows)
-		fmt.Println()
-	}
-	if want("ingest") {
-		ran = true
-		rows, err := experiments.IngestBench(experiments.IngestConcurrencies, 64, cfg, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		report["ingest"] = rows
-		experiments.RenderIngestBench(os.Stdout, rows)
-		fmt.Println()
-	}
-	if want("shard") {
-		ran = true
-		rows, err := experiments.ShardBench(256, 64, cfg, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		report["shard"] = rows
-		experiments.RenderShardBench(os.Stdout, rows)
-		fmt.Println()
-	}
-
-	if !ran {
-		log.Fatalf("unknown -exp %q; options: all %s", *exp, strings.Join(allExps, " "))
-	}
 	if *jsonOut != "" {
-		// Versioned envelope so perf-trajectory tooling can diff runs across
+		// Versioned envelope so tooling can diff runs across
 		// commits: the schema number gates parsing, the git SHA / GOMAXPROCS /
 		// timestamp identify the run, and experiment payloads live under
 		// "results" keyed by experiment name.

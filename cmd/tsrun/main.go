@@ -8,7 +8,7 @@
 //	tsrun -in data/social -algo meme -meme '#meme'
 //	tsrun -in data/social -algo hashtag -meme '#meme'
 //	tsrun -in data/road -algo sssp -source 0 -timestep 3
-//	tsrun -in data/road -algo cc
+//	tsrun -in data/road -algo topn
 //
 // Distributed mode runs one tsrun process per host over TCP (tdsp and meme;
 // the dataset directory must be readable by every process, and partitions
@@ -108,7 +108,7 @@ func main() {
 
 	var (
 		in        = flag.String("in", "", "GoFS dataset directory (required)")
-		algo      = flag.String("algo", "tdsp", "algorithm: tdsp | meme | hashtag | sssp | bfs | cc | pagerank | topn")
+		algo      = flag.String("algo", "tdsp", "algorithm: tdsp | meme | hashtag | sssp | bfs | topn")
 		source    = flag.Int64("source", 0, "source vertex id (tdsp/sssp/bfs)")
 		meme      = flag.String("meme", "#meme", "hashtag to track/aggregate")
 		timestep  = flag.Int("timestep", 0, "instance for single-instance algorithms")
@@ -395,31 +395,6 @@ func main() {
 		}
 		fmt.Printf("%s from %d at t%d: reached %d vertices in %d supersteps\n",
 			*algo, *source, *timestep, reached, r.Supersteps)
-	case "cc":
-		labels, r, err := tsgraph.ConnectedComponents(tmpl, parts, src, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res = r
-		comps := map[int64]int{}
-		for _, l := range labels {
-			comps[l]++
-		}
-		fmt.Printf("cc: %d weakly connected components\n", len(comps))
-	case "pagerank":
-		ranks, r, err := tsgraph.PageRank(tmpl, parts, src, 0.85, 30, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res = r
-		best, bestRank := 0, 0.0
-		for v, rk := range ranks {
-			if rk > bestRank {
-				best, bestRank = v, rk
-			}
-		}
-		fmt.Printf("pagerank: top vertex %d with rank %.6f (30 iterations, d=0.85)\n",
-			tmpl.VertexID(best), bestRank)
 	case "topn":
 		top, r, err := tsgraph.TopN(tmpl, parts, tsgraph.AttrLoad, 5, src, cfg, rec, 4)
 		if err != nil {

@@ -78,16 +78,6 @@ func TestCLIPipeline(t *testing.T) {
 	if !strings.Contains(out, "hashtag #meme") {
 		t.Fatalf("tsrun hashtag output: %s", out)
 	}
-
-	out = runTool(t, bin, "tsrun", "-in", ds, "-algo", "pagerank")
-	if !strings.Contains(out, "pagerank: top vertex") {
-		t.Fatalf("tsrun pagerank output: %s", out)
-	}
-
-	out = runTool(t, bin, "tsrun", "-in", ds, "-algo", "cc")
-	if !strings.Contains(out, "1 weakly connected components") {
-		t.Fatalf("tsrun cc output: %s", out)
-	}
 }
 
 func TestCLIBenchDatasets(t *testing.T) {

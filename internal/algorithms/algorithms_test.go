@@ -449,51 +449,6 @@ func TestHashtagTemporalParallelismEquivalent(t *testing.T) {
 	}
 }
 
-func TestCCMatchesStats(t *testing.T) {
-	// Build a graph with several components: three separate road patches.
-	vs, es := gen.StandardSchemas()
-	b := graph.NewBuilder("multi", vs, es)
-	addPatch := func(base graph.VertexID, n int) {
-		for i := 0; i+1 < n; i++ {
-			b.AddUndirectedEdge(base+graph.VertexID(i), base+graph.VertexID(i+1))
-		}
-	}
-	addPatch(0, 10)
-	addPatch(100, 7)
-	addPatch(200, 3)
-	g := b.MustBuild()
-	c, err := gen.RandomLatencies(g, gen.LatencyConfig{Timesteps: 1, Delta: 1, Min: 0, Max: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := (partition.BFSGrow{}).Partition(g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts, err := subgraph.Build(g, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels, _, err := RunCC(g, parts, core.MemorySource{C: c}, bsp.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	comps := map[int64]int{}
-	for _, l := range labels {
-		comps[l]++
-	}
-	if len(comps) != 3 {
-		t.Fatalf("%d components, want 3", len(comps))
-	}
-	// Vertices in the same patch share labels.
-	if labels[g.VertexIndex(0)] != labels[g.VertexIndex(9)] {
-		t.Error("patch 1 split")
-	}
-	if labels[g.VertexIndex(100)] == labels[g.VertexIndex(200)] {
-		t.Error("patches merged")
-	}
-}
-
 func TestMasterSubgraphSelection(t *testing.T) {
 	g := gen.RoadNetwork(gen.RoadConfig{Rows: 10, Cols: 10, Seed: 12})
 	parts := buildParts(t, g, 3)

@@ -2,157 +2,14 @@ package algorithms
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
-	"tsgraph/internal/bsp"
 	"tsgraph/internal/core"
 	"tsgraph/internal/gen"
 	"tsgraph/internal/graph"
 	"tsgraph/internal/partition"
 	"tsgraph/internal/subgraph"
 )
-
-// refPageRank is the global power iteration with identical semantics
-// (fixed iterations, dangling mass leaks).
-func refPageRank(g *graph.Template, damping float64, iterations int) []float64 {
-	n := g.NumVertices()
-	rank := make([]float64, n)
-	next := make([]float64, n)
-	for v := range rank {
-		rank[v] = 1 / float64(n)
-	}
-	base := (1 - damping) / float64(n)
-	for it := 0; it < iterations; it++ {
-		for v := range next {
-			next[v] = 0
-		}
-		for u := 0; u < n; u++ {
-			lo, hi := g.OutEdges(u)
-			if hi == lo {
-				continue
-			}
-			share := rank[u] / float64(hi-lo)
-			for e := lo; e < hi; e++ {
-				next[g.Target(e)] += share
-			}
-		}
-		for v := range rank {
-			rank[v] = base + damping*next[v]
-		}
-	}
-	return rank
-}
-
-func TestPageRankMatchesPowerIteration(t *testing.T) {
-	g := gen.SmallWorld(gen.SmallWorldConfig{N: 500, M: 3, Seed: 21})
-	parts := buildParts(t, g, 3)
-	c := latencyFixture(t, g, 1, 1, 2)
-	got, res, err := RunPageRank(g, parts, core.MemorySource{C: c}, 0.85, 20, bsp.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := refPageRank(g, 0.85, 20)
-	for v := range got {
-		if math.Abs(got[v]-want[v]) > 1e-12 {
-			t.Fatalf("vertex %d: %v, want %v", v, got[v], want[v])
-		}
-	}
-	// Rank mass conserved (no dangling vertices on undirected graphs).
-	sum := 0.0
-	for _, r := range got {
-		sum += r
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("rank mass = %v, want 1", sum)
-	}
-	if res.Supersteps < 20 {
-		t.Errorf("supersteps = %d, want >= iterations", res.Supersteps)
-	}
-	// Hubs outrank leaves on a power-law graph.
-	stats := graph.ComputeStats(g, 2)
-	hub := 0
-	for v := 0; v < g.NumVertices(); v++ {
-		if g.Degree(v) == stats.MaxDegree {
-			hub = v
-			break
-		}
-	}
-	leaf := 0
-	for v := 0; v < g.NumVertices(); v++ {
-		if g.Degree(v) <= 2 {
-			leaf = v
-			break
-		}
-	}
-	if got[hub] <= got[leaf] {
-		t.Errorf("hub rank %v not above leaf rank %v", got[hub], got[leaf])
-	}
-}
-
-// TestPageRankRandomProperty cross-checks against the reference on random
-// graphs, partition counts and iteration counts.
-func TestPageRankRandomProperty(t *testing.T) {
-	f := func(seed int64, kRaw, itRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 10 + rng.Intn(50)
-		k := 1 + int(kRaw)%4
-		if k > n {
-			k = n
-		}
-		iters := 1 + int(itRaw)%10
-		vs, es := gen.StandardSchemas()
-		b := graph.NewBuilder("rand", vs, es)
-		for i := 0; i < n; i++ {
-			b.AddVertex(graph.VertexID(i))
-		}
-		for e := 0; e < 3*n; e++ {
-			b.AddUndirectedEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)))
-		}
-		g := b.MustBuild()
-		c, err := gen.RandomLatencies(g, gen.LatencyConfig{Timesteps: 1, Delta: 1, Min: 0, Max: 1, Seed: seed})
-		if err != nil {
-			return false
-		}
-		a := &partition.Assignment{K: k, Parts: make([]int32, n)}
-		for v := range a.Parts {
-			a.Parts[v] = int32(rng.Intn(k))
-		}
-		parts, err := subgraph.Build(g, a)
-		if err != nil {
-			return false
-		}
-		got, _, err := RunPageRank(g, parts, core.MemorySource{C: c}, 0.85, iters, bsp.Config{})
-		if err != nil {
-			return false
-		}
-		want := refPageRank(g, 0.85, iters)
-		for v := range got {
-			if math.Abs(got[v]-want[v]) > 1e-10 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPageRankValidation(t *testing.T) {
-	g := gen.RoadNetwork(gen.RoadConfig{Rows: 3, Cols: 3, Seed: 1})
-	parts := buildParts(t, g, 1)
-	if _, err := NewPageRank(g, parts, 0, 10); err == nil {
-		t.Error("damping 0 accepted")
-	}
-	if _, err := NewPageRank(g, parts, 1.5, 10); err == nil {
-		t.Error("damping > 1 accepted")
-	}
-	if _, err := NewPageRank(g, parts, 0.85, 0); err == nil {
-		t.Error("0 iterations accepted")
-	}
-}
 
 // TestIsExistsEdgeAppears demonstrates the paper's isExists mechanism for
 // slow topology change: a bridge edge exists only from timestep 2 on, so

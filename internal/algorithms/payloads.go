@@ -1,8 +1,8 @@
 // Package algorithms implements the paper's three time-series graph
 // algorithms on the TI-BSP abstraction — Time-Dependent Shortest Path
 // (Alg 2), Meme Tracking (Alg 1) and Hashtag Aggregation (§III-A) — plus
-// single-instance subgraph-centric SSSP/BFS and connected components used
-// as baselines and building blocks.
+// single-instance subgraph-centric SSSP/BFS used as a baseline and
+// building block, and the independent-pattern TopN.
 package algorithms
 
 import (

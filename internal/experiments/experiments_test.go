@@ -282,18 +282,34 @@ func TestPartitionerAblation(t *testing.T) {
 
 func TestTemporalParallelismAblation(t *testing.T) {
 	_, sw := datasets(t)
-	rows, err := TemporalParallelismAblation(sw, 3, []int{1, 4}, bsp.Config{CoresPerHost: 2}, 1)
-	if err != nil {
-		t.Fatal(err)
+	// One HASH run is ~100µs of measured Compute, so a single scheduler
+	// pause inside one timing window can inflate a run several-fold (the
+	// ratio of two single runs exceeded 4x in ~3% of pairs, GC off or on).
+	// Compare each degree's best of several runs, as Scalability does.
+	var best []TemporalParallelismRow
+	for i := 0; i < 5; i++ {
+		rows, err := TemporalParallelismAblation(sw, 3, []int{1, 4}, bsp.Config{CoresPerHost: 2}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 2 {
+			t.Fatalf("%d rows", len(rows))
+		}
+		if best == nil {
+			best = rows
+			continue
+		}
+		for j, r := range rows {
+			if r.SimTime < best[j].SimTime {
+				best[j] = r
+			}
+		}
 	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	if rows[1].SimTime >= rows[0].SimTime {
-		t.Errorf("temporal parallelism 4 (%v) should model faster than 1 (%v)", rows[1].SimTime, rows[0].SimTime)
+	if best[1].SimTime >= best[0].SimTime {
+		t.Errorf("temporal parallelism 4 (%v) should model faster than 1 (%v)", best[1].SimTime, best[0].SimTime)
 	}
 	var buf bytes.Buffer
-	RenderTemporalParallelism(&buf, rows)
+	RenderTemporalParallelism(&buf, best)
 	if !strings.Contains(buf.String(), "Parallelism") {
 		t.Error("render missing header")
 	}
@@ -315,29 +331,6 @@ func TestPackingAblation(t *testing.T) {
 	RenderPackingAblation(&buf, rows)
 	if !strings.Contains(buf.String(), "pack") {
 		t.Error("render missing header")
-	}
-}
-
-func TestPageRankModelAblation(t *testing.T) {
-	_, sw := datasets(t)
-	rows, err := PageRankModelAblation(sw, 3, 8, bsp.Config{CoresPerHost: 2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	if rows[0].Messages <= rows[1].Messages {
-		t.Errorf("vertex-centric messages (%d) should exceed subgraph-centric (%d)",
-			rows[0].Messages, rows[1].Messages)
-	}
-	if rows[0].MaxRankDiff > 1e-9 {
-		t.Errorf("models diverge: max rank diff %v", rows[0].MaxRankDiff)
-	}
-	var buf bytes.Buffer
-	RenderPageRankModel(&buf, rows)
-	if !strings.Contains(buf.String(), "message reduction") {
-		t.Error("render missing reduction line")
 	}
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,93 +12,7 @@ import (
 	"tsgraph/internal/bsp"
 	"tsgraph/internal/core"
 	"tsgraph/internal/gofs"
-	"tsgraph/internal/vertex"
 )
-
-// PageRankModelRow compares the two programming models on the same
-// algorithm: vertex-centric PageRank ships one message per edge per
-// iteration, subgraph-centric PageRank batches all contributions crossing a
-// subgraph boundary into one message — the communication argument of the
-// subgraph-centric line of work the paper builds on.
-type PageRankModelRow struct {
-	Model      string
-	Graph      string
-	Iterations int
-	Messages   int64
-	Supersteps int
-	SimTime    time.Duration
-	// MaxRankDiff is the largest per-vertex difference between the two
-	// models' rank vectors (should be ~0: same math).
-	MaxRankDiff float64
-}
-
-// PageRankModelAblation runs both PageRank implementations at the same
-// partitioning and iteration count.
-func PageRankModelAblation(ds *Dataset, k, iterations int, cfg bsp.Config, seed int64) ([]PageRankModelRow, error) {
-	parts, a, err := buildParts(ds, k, seed)
-	if err != nil {
-		return nil, err
-	}
-
-	vcfg := vertex.Config{CoresPerHost: cfg.CoresPerHost}
-	vRanks, vres, err := vertex.PageRank(ds.Template, a, vcfg, 0.85, iterations)
-	if err != nil {
-		return nil, err
-	}
-
-	prog, err := algorithms.NewPageRank(ds.Template, parts, 0.85, iterations)
-	if err != nil {
-		return nil, err
-	}
-	rec := newRecorder(k)
-	res, err := core.Run(&core.Job{
-		Template:  ds.Template,
-		Parts:     parts,
-		Source:    core.MemorySource{C: ds.Latencies},
-		Program:   prog,
-		Pattern:   core.SequentiallyDependent,
-		Timesteps: 1,
-		Config:    cfg,
-		Recorder:  rec,
-	})
-	if err != nil {
-		return nil, err
-	}
-	sRanks := prog.Ranks(parts, ds.Template)
-
-	var maxDiff float64
-	for v := range sRanks {
-		if d := math.Abs(sRanks[v] - vRanks[v]); d > maxDiff {
-			maxDiff = d
-		}
-	}
-	return []PageRankModelRow{
-		{
-			Model: "vertex-centric", Graph: ds.Name, Iterations: iterations,
-			Messages: vres.Messages, Supersteps: vres.Supersteps,
-			SimTime: vres.SimTime, MaxRankDiff: maxDiff,
-		},
-		{
-			Model: "subgraph-centric", Graph: ds.Name, Iterations: iterations,
-			Messages: rec.TotalMessages(), Supersteps: res.Supersteps,
-			SimTime: res.SimTime, MaxRankDiff: maxDiff,
-		},
-	}, nil
-}
-
-// RenderPageRankModel writes the ablation as text.
-func RenderPageRankModel(w io.Writer, rows []PageRankModelRow) {
-	fmt.Fprintf(w, "== Ablation: PageRank under both programming models (same math, same partitions) ==\n")
-	fmt.Fprintf(w, "%-18s %-12s %6s %12s %10s %12s\n", "Model", "Graph", "Iters", "Messages", "Supersteps", "SimTime")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-18s %-12s %6d %12d %10d %12s\n",
-			r.Model, r.Graph, r.Iterations, r.Messages, r.Supersteps, r.SimTime.Round(time.Millisecond))
-	}
-	if len(rows) == 2 && rows[1].Messages > 0 {
-		fmt.Fprintf(w, "message reduction: %.1fx (max rank deviation %.2e)\n",
-			float64(rows[0].Messages)/float64(rows[1].Messages), rows[0].MaxRankDiff)
-	}
-}
 
 // ElasticHeadroomRow quantifies the paper's §IV-E research suggestion
 // ("partitions which are active at a given timestep can pass some of their

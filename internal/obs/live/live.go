@@ -215,17 +215,6 @@ type Recorder struct {
 	byID      map[uint64]*Trace
 }
 
-// histStage maps a Stage to its histogram slot; -1 = not histogrammed.
-func histStage(st Stage) int {
-	switch st {
-	case StageQueue:
-		return 0
-	case StageSweep:
-		return 1
-	}
-	return -1
-}
-
 // histStageNames label the exported histogram's stage dimension.
 var histStageNames = [3]string{"queue", "sweep", "total"}
 

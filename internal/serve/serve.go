@@ -68,8 +68,8 @@ type Options struct {
 	Live *live.Recorder
 
 	// DisableLive runs the server without a lifecycle recorder. Every
-	// instrumentation call is then a nil-receiver no-op; this exists for the
-	// obslive ablation (measuring the recorder's overhead), not for
+	// instrumentation call is then a nil-receiver no-op; this exists for
+	// BenchmarkLiveOverhead (measuring the recorder's overhead), not for
 	// production use.
 	DisableLive bool
 

@@ -100,61 +100,3 @@ func SSSP(t *graph.Template, a *partition.Assignment, cfg Config, src int, weigh
 func BFS(t *graph.Template, a *partition.Assignment, cfg Config, src int) ([]float64, *Result, error) {
 	return SSSP(t, a, cfg, src, nil)
 }
-
-// pagerankProgram is vertex-centric PageRank with fixed iterations: every
-// superstep each vertex folds incoming contributions, updates its rank and
-// re-emits shares — one message per out-edge per iteration, the message
-// volume the subgraph-centric formulation avoids by batching per boundary.
-type pagerankProgram struct {
-	damping    float64
-	iterations int
-	n          float64
-	rank       []float64
-}
-
-func (p *pagerankProgram) Compute(ctx *Context, u int, superstep int, msgs []float64) {
-	t := ctx.Template()
-	if superstep == 0 {
-		p.rank[u] = 1 / p.n
-	} else {
-		sum := 0.0
-		for _, m := range msgs {
-			sum += m
-		}
-		p.rank[u] = (1-p.damping)/p.n + p.damping*sum
-	}
-	if superstep >= p.iterations {
-		ctx.VoteToHalt()
-		return
-	}
-	lo, hi := t.OutEdges(u)
-	if hi == lo {
-		return // dangling: mass leaks, same semantics as the subgraph version
-	}
-	share := p.rank[u] / float64(hi-lo)
-	for e := lo; e < hi; e++ {
-		ctx.SendTo(t.Target(e), share)
-	}
-}
-
-// PageRank runs vertex-centric PageRank for a fixed number of iterations
-// and returns the template-indexed rank vector. A sum combiner folds
-// same-destination contributions.
-func PageRank(t *graph.Template, a *partition.Assignment, cfg Config, damping float64, iterations int) ([]float64, *Result, error) {
-	if cfg.Combiner == nil {
-		cfg.Combiner = func(x, y float64) float64 { return x + y }
-	}
-	e, err := NewEngine(t, a, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	prog := &pagerankProgram{
-		damping: damping, iterations: iterations,
-		n: float64(t.NumVertices()), rank: make([]float64, t.NumVertices()),
-	}
-	res, err := e.Run(prog, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return prog.rank, res, nil
-}

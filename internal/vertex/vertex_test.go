@@ -285,47 +285,3 @@ func TestMessagesToInvalidVertexDropped(t *testing.T) {
 		t.Errorf("supersteps = %d", res.Supersteps)
 	}
 }
-
-func TestVertexPageRankMatchesSubgraphSemantics(t *testing.T) {
-	g := gen.SmallWorld(gen.SmallWorldConfig{N: 300, M: 2, Seed: 41})
-	a := assignmentFor(t, g, 3)
-	const iters = 12
-	ranks, res, err := PageRank(g, a, Config{}, 0.85, iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reference power iteration (same fixed-iteration, leaky-dangling
-	// semantics).
-	n := g.NumVertices()
-	want := make([]float64, n)
-	next := make([]float64, n)
-	for v := range want {
-		want[v] = 1 / float64(n)
-	}
-	for it := 0; it < iters; it++ {
-		for v := range next {
-			next[v] = 0
-		}
-		for u := 0; u < n; u++ {
-			lo, hi := g.OutEdges(u)
-			if hi == lo {
-				continue
-			}
-			share := want[u] / float64(hi-lo)
-			for e := lo; e < hi; e++ {
-				next[g.Target(e)] += share
-			}
-		}
-		for v := range want {
-			want[v] = (1-0.85)/float64(n) + 0.85*next[v]
-		}
-	}
-	for v := range ranks {
-		if math.Abs(ranks[v]-want[v]) > 1e-10 {
-			t.Fatalf("vertex %d: %v, want %v", v, ranks[v], want[v])
-		}
-	}
-	if res.Supersteps != iters+1 {
-		t.Errorf("supersteps = %d, want %d", res.Supersteps, iters+1)
-	}
-}

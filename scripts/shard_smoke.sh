@@ -21,7 +21,8 @@
 # Environment: SMOKE_DIR (workdir, default mktemp), SMOKE_PORT (base
 # port, default 7871), SERVELOAD_P99 (latency bound, default 30s —
 # generous because a failover stalls one sweep for the mesh recovery
-# window; the real latency expectation lives in tsbench -exp shard).
+# window; the real latency expectation is the shard-2x1 workload of
+# bench/, 53 ms at the median).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 . scripts/lib.sh

@@ -60,7 +60,6 @@ import (
 	"tsgraph/internal/metrics"
 	"tsgraph/internal/partition"
 	"tsgraph/internal/subgraph"
-	"tsgraph/internal/vertex"
 )
 
 // Data model types.
@@ -295,26 +294,6 @@ func SSSP(t *Template, parts []*PartitionData, src int, source InstanceSource, t
 	return algorithms.RunSSSP(t, parts, src, source, timestep, weightAttr, cfg)
 }
 
-// ConnectedComponents labels weakly connected components subgraph-
-// centrically.
-func ConnectedComponents(t *Template, parts []*PartitionData, source InstanceSource, cfg EngineConfig) ([]int64, *Result, error) {
-	return algorithms.RunCC(t, parts, source, cfg)
-}
-
-// Vertex-centric baseline (the Giraph-like engine of §IV-C).
-type (
-	// VertexConfig tunes the vertex-centric engine.
-	VertexConfig = vertex.Config
-	// VertexResult summarizes a vertex-centric run.
-	VertexResult = vertex.Result
-)
-
-// VertexSSSP runs Pregel-style SSSP (nil weights = BFS) as the comparison
-// baseline.
-func VertexSSSP(t *Template, a *Assignment, cfg VertexConfig, src int, weights []float64) ([]float64, *VertexResult, error) {
-	return vertex.SSSP(t, a, cfg, src, weights)
-}
-
 // VertexValue pairs a vertex with an attribute value for ranking.
 type VertexValue = algorithms.VertexValue
 
@@ -330,12 +309,6 @@ func TopN(t *Template, parts []*PartitionData, attr string, n int, source Instan
 // uniform random values (for ranking/aggregation workloads).
 func RandomLoads(c *Collection, seed int64, min, max float64) error {
 	return gen.RandomLoads(c, seed, min, max)
-}
-
-// PageRank runs subgraph-centric PageRank (fixed iterations, damping d)
-// over the template and returns the template-indexed rank vector.
-func PageRank(t *Template, parts []*PartitionData, source InstanceSource, damping float64, iterations int, cfg EngineConfig) ([]float64, *Result, error) {
-	return algorithms.RunPageRank(t, parts, source, damping, iterations, cfg)
 }
 
 // EdgeListOptions controls SNAP edge-list parsing.

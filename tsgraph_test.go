@@ -177,35 +177,6 @@ func TestPublicCustomProgram(t *testing.T) {
 	}
 }
 
-func TestPublicVertexBaseline(t *testing.T) {
-	tmpl, _, _ := buildTrafficFixture(t)
-	assign, _ := tsgraph.PartitionMultilevel(tmpl, 3, 5)
-	dist, vres, err := tsgraph.VertexSSSP(tmpl, assign, tsgraph.VertexConfig{}, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dist[0] != 0 {
-		t.Errorf("source dist = %v", dist[0])
-	}
-	if vres.Supersteps < 5 {
-		t.Errorf("vertex BFS on a road graph took only %d supersteps", vres.Supersteps)
-	}
-}
-
-func TestPublicConnectedComponents(t *testing.T) {
-	tmpl, coll, parts := buildTrafficFixture(t)
-	labels, _, err := tsgraph.ConnectedComponents(tmpl, parts, tsgraph.MemorySource{C: coll}, tsgraph.EngineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The generated road network is connected: one label everywhere.
-	for v := 1; v < len(labels); v++ {
-		if labels[v] != labels[0] {
-			t.Fatalf("vertex %d label %d != %d", v, labels[v], labels[0])
-		}
-	}
-}
-
 func TestPublicStatsAndSchema(t *testing.T) {
 	s, err := tsgraph.NewSchema([]string{"w"}, []tsgraph.AttrType{tsgraph.TFloat})
 	if err != nil {
