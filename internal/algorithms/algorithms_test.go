@@ -1,8 +1,10 @@
 package algorithms
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -15,13 +17,26 @@ import (
 	"tsgraph/internal/subgraph"
 )
 
+type builder func(*graph.Template, *partition.Assignment) ([]*subgraph.PartitionData, error)
+
+// builders are the two subgraph constructions: WCC subgraphs, and the
+// singletons over which a subgraph-centric program is vertex-centric.
+var builders = []struct {
+	name  string
+	build builder
+}{{"Build", subgraph.Build}, {"Singletons", subgraph.Singletons}}
+
 func buildParts(tb testing.TB, g *graph.Template, k int) []*subgraph.PartitionData {
+	return buildPartsWith(tb, g, k, subgraph.Build)
+}
+
+func buildPartsWith(tb testing.TB, g *graph.Template, k int, build builder) []*subgraph.PartitionData {
 	tb.Helper()
 	a, err := (partition.Multilevel{Seed: 11}).Partition(g, k)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	parts, err := subgraph.Build(g, a)
+	parts, err := build(g, a)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -42,38 +57,102 @@ func latencyFixture(tb testing.TB, g *graph.Template, steps int, delta int64, ma
 
 func TestSSSPMatchesDijkstra(t *testing.T) {
 	g := gen.RoadNetwork(gen.RoadConfig{Rows: 12, Cols: 12, RemoveFrac: 0.1, Seed: 1})
-	parts := buildParts(t, g, 3)
 	c := latencyFixture(t, g, 1, 300, 100)
 	src := g.NumVertices() / 3
-	dist, _, err := RunSSSP(g, parts, src, core.MemorySource{C: c}, 0, gen.AttrLatency, bsp.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := refDijkstra(g, src, c.Instance(0).EdgeFloats(g, gen.AttrLatency))
-	for v := range dist {
-		if math.Abs(dist[v]-want[v]) > 1e-9 && !(math.IsInf(dist[v], 1) && math.IsInf(want[v], 1)) {
-			t.Fatalf("vertex %d: %v, want %v", v, dist[v], want[v])
+	for _, b := range builders {
+		parts := buildPartsWith(t, g, 3, b.build)
+		dist, _, err := RunSSSP(g, parts, src, core.MemorySource{C: c}, 0, gen.AttrLatency, bsp.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameDistances(dist, want); err != nil {
+			t.Fatalf("%s: %v", b.name, err)
 		}
 	}
 }
 
+// sameDistances compares SSSP labels with a reference, Inf matching Inf.
+func sameDistances(got, want []float64) error {
+	for v := range got {
+		if math.IsInf(got[v], 1) != math.IsInf(want[v], 1) ||
+			!math.IsInf(want[v], 1) && math.Abs(got[v]-want[v]) > 1e-9 {
+			return fmt.Errorf("vertex %d: %v, want %v", v, got[v], want[v])
+		}
+	}
+	return nil
+}
+
+// TestSSSPUnweightedIsBFS also pins the vertex-centric superstep count of
+// Fig 5b: over singletons, superstep s settles the vertices s hops out, the
+// farthest send once more, and one quiet superstep confirms the halt.
 func TestSSSPUnweightedIsBFS(t *testing.T) {
 	g := gen.SmallWorld(gen.SmallWorldConfig{N: 400, M: 2, Seed: 2})
-	parts := buildParts(t, g, 2)
 	c := latencyFixture(t, g, 1, 300, 10)
 	src := 7
-	dist, _, err := RunSSSP(g, parts, src, core.MemorySource{C: c}, 0, "", bsp.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	levels := graph.BFSLevels(g, src)
-	for v := range dist {
-		switch {
-		case levels[v] < 0 && !math.IsInf(dist[v], 1):
-			t.Fatalf("vertex %d unreachable but dist %v", v, dist[v])
-		case levels[v] >= 0 && dist[v] != float64(levels[v]):
-			t.Fatalf("vertex %d dist %v, want %d", v, dist[v], levels[v])
+	ecc := int(slices.Max(levels))
+	for _, b := range builders {
+		parts := buildPartsWith(t, g, 2, b.build)
+		dist, res, err := RunSSSP(g, parts, src, core.MemorySource{C: c}, 0, "", bsp.Config{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		for v := range dist {
+			switch {
+			case levels[v] < 0 && !math.IsInf(dist[v], 1):
+				t.Fatalf("%s: vertex %d unreachable but dist %v", b.name, v, dist[v])
+			case levels[v] >= 0 && dist[v] != float64(levels[v]):
+				t.Fatalf("%s: vertex %d dist %v, want %d", b.name, v, dist[v], levels[v])
+			}
+		}
+		if b.name == "Singletons" && res.Supersteps != ecc+2 {
+			t.Errorf("singletons: %d supersteps, want eccentricity %d + 2", res.Supersteps, ecc)
+		}
+	}
+}
+
+// TestSSSPRandomGraphsProperty compares SSSP with Dijkstra on random
+// directed graphs (self-loops, parallel edges) under random assignments
+// that may leave partitions empty, over both subgraph constructions.
+func TestSSSPRandomGraphsProperty(t *testing.T) {
+	f := func(seed int64, kRaw uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 10 + rng.Intn(60)
+		k := 1 + int(kRaw)%4
+		vs, es := gen.StandardSchemas()
+		b := graph.NewBuilder("rand", vs, es)
+		for i := 0; i < n; i++ {
+			b.AddVertex(graph.VertexID(i))
+		}
+		for e := 0; e < 3*n; e++ {
+			b.AddEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)))
+		}
+		g := b.MustBuild()
+		c, err := gen.RandomLatencies(g, gen.LatencyConfig{Timesteps: 1, Delta: 300, Min: 1, Max: 20, Seed: seed})
+		if err != nil {
+			return false
+		}
+		a := &partition.Assignment{K: k, Parts: make([]int32, n)}
+		for v := range a.Parts {
+			a.Parts[v] = int32(rng.Intn(k))
+		}
+		src := rng.Intn(n)
+		want := refDijkstra(g, src, c.Instance(0).EdgeFloats(g, gen.AttrLatency))
+		for _, bl := range builders {
+			parts, err := bl.build(g, a)
+			if err != nil {
+				return false
+			}
+			dist, _, err := RunSSSP(g, parts, src, core.MemorySource{C: c}, 0, gen.AttrLatency, bsp.Config{CoresPerHost: 2})
+			if err != nil || sameDistances(dist, want) != nil {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 // GoFFish model: each superstep runs Dijkstra inside every active subgraph
 // and exchanges boundary labels with neighboring subgraphs. On a single
 // instance it is the paper's "GoFFish SSSP" baseline (Fig 5b); with nil
-// weights it degenerates to BFS.
+// weights it degenerates to BFS. Over subgraph.Singletons it is Pregel SSSP
+// with a min combiner, Fig 5b's vertex-centric row.
 type SSSPProgram struct {
 	// Source is the template vertex index of the source.
 	Source int

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
 	"tsgraph/internal/bsp"
+	"tsgraph/internal/graph"
 )
 
 // testScale is smaller than Small to keep the suite snappy.
@@ -133,9 +135,12 @@ func TestBaselineOrdering(t *testing.T) {
 		if ssspRow.SimTime >= tdspRow.SimTime {
 			t.Errorf("%s: single-instance subgraph SSSP (%v) should undercut TDSP over all instances (%v)", g, ssspRow.SimTime, tdspRow.SimTime)
 		}
-		// Structural cause on the road graph: superstep explosion.
-		if g == "ROAD" && vertexRow.Supersteps < 5*ssspRow.Supersteps {
-			t.Errorf("road: vertex supersteps %d should dwarf subgraph %d", vertexRow.Supersteps, ssspRow.Supersteps)
+		// Structural cause: one vertex-centric superstep per BFS hop, plus
+		// the farthest vertices' last send and the quiet halting superstep.
+		ds := map[string]*Dataset{road.Name: road, sw.Name: sw}[g]
+		ecc := int(slices.Max(graph.BFSLevels(ds.Template, ds.SourceVertex)))
+		if vertexRow.Supersteps != ecc+2 {
+			t.Errorf("%s: vertex-centric supersteps %d, want eccentricity %d + 2", g, vertexRow.Supersteps, ecc)
 		}
 	}
 	var buf bytes.Buffer

@@ -1,13 +1,15 @@
 // Package subgraph derives the unit of computation of the GoFFish model
 // from a partitioned template: within each partition, a subgraph is a
 // maximal set of vertices weakly connected through local edges (edges whose
-// endpoints are both in the partition). Edges that span partitions are
+// endpoints are both in the partition). Edges that leave their subgraph are
 // "remote" edges; subgraphs communicate across them during BSP supersteps.
+// Singletons builds the vertex-centric special case, one vertex per
+// subgraph.
 package subgraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"tsgraph/internal/graph"
 	"tsgraph/internal/partition"
@@ -29,7 +31,7 @@ func (id ID) Index() int { return int(int32(id)) }
 func (id ID) String() string { return fmt.Sprintf("%d/%d", id.Partition(), id.Index()) }
 
 // RemoteEdge describes an edge from a vertex in this partition to a vertex
-// owned by another partition.
+// in another subgraph (under Build, always one owned by another partition).
 type RemoteEdge struct {
 	// TargetGlobal is the template vertex index of the remote endpoint.
 	TargetGlobal int32
@@ -50,8 +52,8 @@ type PartitionData struct {
 	// GlobalIdx maps local vertex index -> template vertex index.
 	GlobalIdx []int32
 
-	// Local CSR. Targets[e] >= 0 is a local vertex index; Targets[e] < 0
-	// encodes remote edge -(Targets[e]+1) in Remote.
+	// Local CSR. Targets[e] >= 0 is a local vertex index in the same
+	// subgraph; Targets[e] < 0 encodes remote edge -(Targets[e]+1) in Remote.
 	Offsets    []int64
 	Targets    []int32
 	EdgeGlobal []int32 // local edge slot -> template edge slot
@@ -70,7 +72,7 @@ func (p *PartitionData) OutEdges(v int) (lo, hi int) {
 	return int(p.Offsets[v]), int(p.Offsets[v+1])
 }
 
-// IsRemote reports whether local edge slot e crosses partitions; if so, the
+// IsRemote reports whether local edge slot e leaves its subgraph; if so, the
 // second return is the index into Remote.
 func (p *PartitionData) IsRemote(e int) (bool, int) {
 	t := p.Targets[e]
@@ -81,7 +83,8 @@ func (p *PartitionData) IsRemote(e int) (bool, int) {
 }
 
 // Subgraph is one weakly connected component of a partition's local-edge
-// graph: the unit on which user Compute methods run.
+// graph (or, from Singletons, one vertex): the unit on which user Compute
+// methods run.
 type Subgraph struct {
 	// SID is the subgraph's global identity.
 	SID ID
@@ -90,8 +93,6 @@ type Subgraph struct {
 	// Verts lists the partition-local vertex indices in this subgraph, in
 	// ascending order.
 	Verts []int32
-	// RemoteOut counts the subgraph's outgoing remote edges.
-	RemoteOut int
 	// Neighbors lists the distinct subgraph IDs reachable over one remote
 	// edge, in ascending order.
 	Neighbors []ID
@@ -101,15 +102,46 @@ type Subgraph struct {
 func (s *Subgraph) NumVertices() int { return len(s.Verts) }
 
 // Build derives all partitions' local views and subgraphs from a template
-// and an assignment, and resolves every remote edge to its target subgraph.
-// In the distributed setting this resolution is a boundary-exchange round;
+// and an assignment. A partition's subgraphs are the weakly connected
+// components of its local-edge graph, so an edge is remote exactly when it
+// leaves its partition. Every remote edge is resolved to its target
+// subgraph: in the distributed setting that is a boundary-exchange round;
 // here all partitions are materialized together so it is a direct lookup.
 func Build(t *graph.Template, a *partition.Assignment) ([]*PartitionData, error) {
+	return build(t, a, true)
+}
+
+// Singletons is Build with one vertex per subgraph, the vertex-centric
+// (Pregel) special case of the subgraph-centric model: every edge except a
+// self-loop is remote, including edges inside one partition.
+func Singletons(t *graph.Template, a *partition.Assignment) ([]*PartitionData, error) {
+	return build(t, a, false)
+}
+
+// build is the construction Build and Singletons share. With wcc, vertices
+// joined by an edge inside their partition share a subgraph; without it,
+// every vertex is its own subgraph. Either way an edge is remote exactly
+// when it leaves its subgraph.
+func build(t *graph.Template, a *partition.Assignment, wcc bool) ([]*PartitionData, error) {
 	if err := a.Validate(t); err != nil {
 		return nil, err
 	}
 	n := t.NumVertices()
 	k := a.K
+
+	// Subgraph representatives. union keeps the smaller root, so each
+	// subgraph's representative is its smallest vertex.
+	uf := newUF(n)
+	if wcc {
+		for v := 0; v < n; v++ {
+			lo, hi := t.OutEdges(v)
+			for e := lo; e < hi; e++ {
+				if w := t.Target(e); a.Parts[w] == a.Parts[v] {
+					uf.union(v, w)
+				}
+			}
+		}
+	}
 
 	// Dense local indices per partition, in global order.
 	localIdx := make([]int32, n)
@@ -122,36 +154,48 @@ func Build(t *graph.Template, a *partition.Assignment) ([]*PartitionData, error)
 	parts := make([]*PartitionData, k)
 	for p := 0; p < k; p++ {
 		parts[p] = &PartitionData{
-			PID:       p,
-			GlobalIdx: make([]int32, 0, counts[p]),
+			PID:        p,
+			GlobalIdx:  make([]int32, 0, counts[p]),
+			SubgraphOf: make([]int32, 0, counts[p]),
 		}
 	}
+
+	// Deterministic subgraph numbering: by smallest local vertex index,
+	// which is the representative, met before the rest of its subgraph.
+	// sub[v] is template vertex v's subgraph index within its partition.
+	sub := make([]int32, n)
 	for v := 0; v < n; v++ {
-		p := a.Parts[v]
-		parts[p].GlobalIdx = append(parts[p].GlobalIdx, int32(v))
+		pd := parts[a.Parts[v]]
+		if r := uf.find(v); r != v {
+			sub[v] = sub[r]
+		} else {
+			sub[v] = int32(len(pd.Subgraphs))
+			pd.Subgraphs = append(pd.Subgraphs, &Subgraph{SID: MakeID(pd.PID, len(pd.Subgraphs)), Part: pd})
+		}
+		sg := pd.Subgraphs[sub[v]]
+		sg.Verts = append(sg.Verts, localIdx[v])
+		pd.GlobalIdx = append(pd.GlobalIdx, int32(v))
+		pd.SubgraphOf = append(pd.SubgraphOf, sub[v])
 	}
 
-	// Local CSR per partition.
-	for p := 0; p < k; p++ {
-		pd := parts[p]
+	// Local CSR per partition, with remote edges resolved on the spot.
+	for _, pd := range parts {
 		nv := pd.NumVertices()
 		pd.Offsets = make([]int64, nv+1)
-		for lv := 0; lv < nv; lv++ {
-			g := int(pd.GlobalIdx[lv])
-			lo, hi := t.OutEdges(g)
+		for lv, g := range pd.GlobalIdx {
+			lo, hi := t.OutEdges(int(g))
 			pd.Offsets[lv+1] = pd.Offsets[lv] + int64(hi-lo)
 		}
 		total := pd.Offsets[nv]
 		pd.Targets = make([]int32, total)
 		pd.EdgeGlobal = make([]int32, total)
-		cursor := int64(0)
-		for lv := 0; lv < nv; lv++ {
-			g := int(pd.GlobalIdx[lv])
-			lo, hi := t.OutEdges(g)
+		cursor := 0
+		for _, g := range pd.GlobalIdx {
+			lo, hi := t.OutEdges(int(g))
 			for e := lo; e < hi; e++ {
 				w := t.Target(e)
 				pd.EdgeGlobal[cursor] = int32(e)
-				if a.Parts[w] == int32(p) {
+				if a.Parts[w] == a.Parts[g] && sub[w] == sub[g] {
 					pd.Targets[cursor] = localIdx[w]
 				} else {
 					pd.Targets[cursor] = int32(-(len(pd.Remote) + 1))
@@ -159,7 +203,7 @@ func Build(t *graph.Template, a *partition.Assignment) ([]*PartitionData, error)
 						TargetGlobal:    int32(w),
 						TargetPartition: a.Parts[w],
 						TargetLocal:     localIdx[w],
-						TargetSubgraph:  -1, // resolved below
+						TargetSubgraph:  sub[w],
 					})
 				}
 				cursor++
@@ -167,75 +211,41 @@ func Build(t *graph.Template, a *partition.Assignment) ([]*PartitionData, error)
 		}
 	}
 
-	// Subgraphs: WCC of local edges per partition (union-find).
-	for p := 0; p < k; p++ {
-		pd := parts[p]
-		nv := pd.NumVertices()
-		uf := newUF(nv)
-		for lv := 0; lv < nv; lv++ {
-			lo, hi := pd.OutEdges(lv)
-			for e := lo; e < hi; e++ {
-				if pd.Targets[e] >= 0 {
-					uf.union(lv, int(pd.Targets[e]))
-				}
-			}
-		}
-		// Deterministic subgraph numbering: by smallest local vertex index.
-		rootToSG := make(map[int]int32)
-		pd.SubgraphOf = make([]int32, nv)
-		for lv := 0; lv < nv; lv++ {
-			r := uf.find(lv)
-			sgi, ok := rootToSG[r]
-			if !ok {
-				sgi = int32(len(pd.Subgraphs))
-				rootToSG[r] = sgi
-				pd.Subgraphs = append(pd.Subgraphs, &Subgraph{
-					SID:  MakeID(p, int(sgi)),
-					Part: pd,
-				})
-			}
-			pd.SubgraphOf[lv] = sgi
-			sg := pd.Subgraphs[sgi]
-			sg.Verts = append(sg.Verts, int32(lv))
-		}
+	// Neighbor lists: the distinct targets of each subgraph's remote edges,
+	// in ascending order. Subgraph p/i is dense index first[p]+i, and
+	// seen[j] is the dense index of the last subgraph that listed j.
+	first := make([]int, k+1)
+	for p, pd := range parts {
+		first[p+1] = first[p] + len(pd.Subgraphs)
 	}
-
-	// Resolve remote-edge target subgraphs and subgraph neighbor lists.
-	for p := 0; p < k; p++ {
-		pd := parts[p]
-		nbrs := make([]map[ID]struct{}, len(pd.Subgraphs))
-		for i := range nbrs {
-			nbrs[i] = make(map[ID]struct{})
-		}
-		for lv := 0; lv < pd.NumVertices(); lv++ {
-			lo, hi := pd.OutEdges(lv)
-			for e := lo; e < hi; e++ {
-				remote, ri := pd.IsRemote(e)
-				if !remote {
-					continue
+	seen := make([]int, first[k])
+	for i := range seen {
+		seen[i] = -1
+	}
+	for p, pd := range parts {
+		for si, sg := range pd.Subgraphs {
+			self := first[p] + si
+			for _, lv := range sg.Verts {
+				lo, hi := pd.OutEdges(int(lv))
+				for e := lo; e < hi; e++ {
+					if remote, ri := pd.IsRemote(e); remote {
+						re := &pd.Remote[ri]
+						if j := first[re.TargetPartition] + int(re.TargetSubgraph); seen[j] != self {
+							seen[j] = self
+							sg.Neighbors = append(sg.Neighbors, MakeID(int(re.TargetPartition), int(re.TargetSubgraph)))
+						}
+					}
 				}
-				re := &pd.Remote[ri]
-				tp := parts[re.TargetPartition]
-				re.TargetSubgraph = tp.SubgraphOf[re.TargetLocal]
-				srcSG := pd.SubgraphOf[lv]
-				pd.Subgraphs[srcSG].RemoteOut++
-				nbrs[srcSG][MakeID(int(re.TargetPartition), int(re.TargetSubgraph))] = struct{}{}
 			}
-		}
-		for i, set := range nbrs {
-			sg := pd.Subgraphs[i]
-			for id := range set {
-				sg.Neighbors = append(sg.Neighbors, id)
-			}
-			sort.Slice(sg.Neighbors, func(a, b int) bool { return sg.Neighbors[a] < sg.Neighbors[b] })
+			slices.Sort(sg.Neighbors)
 		}
 	}
 	return parts, nil
 }
 
 // Validate checks structural invariants across all partitions: disjoint
-// covering vertex sets, consistent CSR, resolved remote edges, and that no
-// local edge crosses subgraphs within a partition.
+// covering vertex sets, consistent CSR, remote edges resolved to another
+// subgraph, and that no local edge crosses subgraphs within a partition.
 func Validate(t *graph.Template, parts []*PartitionData) error {
 	seen := make([]bool, t.NumVertices())
 	for _, pd := range parts {
@@ -261,8 +271,8 @@ func Validate(t *graph.Template, parts []*PartitionData) error {
 					if re.TargetSubgraph < 0 {
 						return fmt.Errorf("subgraph: partition %d remote edge %d unresolved", pd.PID, ri)
 					}
-					if int(re.TargetPartition) == pd.PID {
-						return fmt.Errorf("subgraph: partition %d remote edge %d targets itself", pd.PID, ri)
+					if int(re.TargetPartition) == pd.PID && re.TargetSubgraph == pd.SubgraphOf[lv] {
+						return fmt.Errorf("subgraph: partition %d remote edge %d targets its own subgraph", pd.PID, ri)
 					}
 				} else {
 					// Local edge must stay within one subgraph.

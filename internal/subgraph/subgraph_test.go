@@ -1,6 +1,7 @@
 package subgraph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -33,13 +34,21 @@ func TestIDOrdering(t *testing.T) {
 	}
 }
 
-func buildFor(t *testing.T, g *graph.Template, k int) []*PartitionData {
+type builder func(*graph.Template, *partition.Assignment) ([]*PartitionData, error)
+
+// builders are the two constructions every invariant must hold for.
+var builders = []struct {
+	name  string
+	build builder
+}{{"Build", Build}, {"Singletons", Singletons}}
+
+func buildFor(t *testing.T, g *graph.Template, k int, build builder) []*PartitionData {
 	t.Helper()
 	a, err := (partition.Multilevel{Seed: 9}).Partition(g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err := Build(g, a)
+	parts, err := build(g, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +58,36 @@ func buildFor(t *testing.T, g *graph.Template, k int) []*PartitionData {
 	return parts
 }
 
+// checkSingletons asserts the shape of Singletons: one vertex per subgraph,
+// and every edge remote except a self-loop. It returns how many remote edges
+// stay inside their partition.
+func checkSingletons(g *graph.Template, parts []*PartitionData) (intra int, err error) {
+	for _, pd := range parts {
+		for _, sg := range pd.Subgraphs {
+			if len(sg.Verts) != 1 {
+				return 0, fmt.Errorf("%v has %d vertices", sg.SID, len(sg.Verts))
+			}
+		}
+		for lv := 0; lv < pd.NumVertices(); lv++ {
+			lo, hi := pd.OutEdges(lv)
+			for e := lo; e < hi; e++ {
+				remote, ri := pd.IsRemote(e)
+				selfLoop := g.Target(int(pd.EdgeGlobal[e])) == int(pd.GlobalIdx[lv])
+				if remote == selfLoop {
+					return 0, fmt.Errorf("partition %d edge slot %d: remote %v, self-loop %v", pd.PID, e, remote, selfLoop)
+				}
+				if remote && int(pd.Remote[ri].TargetPartition) == pd.PID {
+					intra++
+				}
+			}
+		}
+	}
+	return intra, nil
+}
+
 func TestBuildRoad(t *testing.T) {
 	g := gen.RoadNetwork(gen.RoadConfig{Rows: 20, Cols: 20, RemoveFrac: 0.1, Seed: 2})
-	parts := buildFor(t, g, 4)
+	parts := buildFor(t, g, 4, Build)
 	if len(parts) != 4 {
 		t.Fatalf("%d partitions", len(parts))
 	}
@@ -80,7 +116,7 @@ func TestBuildRoad(t *testing.T) {
 
 func TestBuildSingletonPartition(t *testing.T) {
 	g := gen.SmallWorld(gen.SmallWorldConfig{N: 100, M: 2, Seed: 3})
-	parts := buildFor(t, g, 1)
+	parts := buildFor(t, g, 1, Build)
 	if len(parts) != 1 {
 		t.Fatalf("%d partitions", len(parts))
 	}
@@ -149,9 +185,6 @@ func TestRemoteEdgeResolution(t *testing.T) {
 			t.Fatalf("partition %d: %d subgraphs, want 1", p, len(pd.Subgraphs))
 		}
 		sg := pd.Subgraphs[0]
-		if sg.RemoteOut != 2 {
-			t.Errorf("partition %d subgraph remote out = %d, want 2", p, sg.RemoteOut)
-		}
 		if len(sg.Neighbors) != 1 {
 			t.Fatalf("partition %d: %d neighbor subgraphs, want 1", p, len(sg.Neighbors))
 		}
@@ -173,32 +206,44 @@ func TestRemoteEdgeResolution(t *testing.T) {
 func TestEdgeGlobalMapsAttributes(t *testing.T) {
 	// EdgeGlobal must point at the template slot with the same head vertex.
 	g := gen.RoadNetwork(gen.RoadConfig{Rows: 8, Cols: 8, Seed: 4})
-	parts := buildFor(t, g, 3)
-	for _, pd := range parts {
-		for lv := 0; lv < pd.NumVertices(); lv++ {
-			lo, hi := pd.OutEdges(lv)
-			glo, _ := g.OutEdges(int(pd.GlobalIdx[lv]))
-			for e := lo; e < hi; e++ {
-				ge := int(pd.EdgeGlobal[e])
-				if ge < glo {
-					t.Fatalf("edge slot mapping out of range")
+	for _, b := range builders {
+		parts := buildFor(t, g, 3, b.build)
+		for _, pd := range parts {
+			for lv := 0; lv < pd.NumVertices(); lv++ {
+				lo, hi := pd.OutEdges(lv)
+				glo, _ := g.OutEdges(int(pd.GlobalIdx[lv]))
+				for e := lo; e < hi; e++ {
+					ge := int(pd.EdgeGlobal[e])
+					if ge < glo {
+						t.Fatalf("%s: edge slot mapping out of range", b.name)
+					}
+					var headGlobal int32
+					if remote, ri := pd.IsRemote(e); remote {
+						headGlobal = pd.Remote[ri].TargetGlobal
+					} else {
+						headGlobal = pd.GlobalIdx[pd.Targets[e]]
+					}
+					if int32(g.Target(ge)) != headGlobal {
+						t.Fatalf("%s: EdgeGlobal slot %d: template head %d, local head %d", b.name, ge, g.Target(ge), headGlobal)
+					}
 				}
-				var headGlobal int32
-				if remote, ri := pd.IsRemote(e); remote {
-					headGlobal = pd.Remote[ri].TargetGlobal
-				} else {
-					headGlobal = pd.GlobalIdx[pd.Targets[e]]
-				}
-				if int32(g.Target(ge)) != headGlobal {
-					t.Fatalf("EdgeGlobal slot %d: template head %d, local head %d", ge, g.Target(ge), headGlobal)
-				}
+			}
+		}
+		if b.name == "Singletons" {
+			intra, err := checkSingletons(g, parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if intra == 0 {
+				t.Error("singletons: no remote edge inside a partition")
 			}
 		}
 	}
 }
 
-// TestBuildInvariantsRandom is a property test: Build+Validate succeed and
-// subgraph counts are sane on random graphs with random assignments.
+// TestBuildInvariantsRandom is a property test: Build/Singletons+Validate
+// succeed and subgraph counts are sane on random graphs with random
+// assignments.
 func TestBuildInvariantsRandom(t *testing.T) {
 	f := func(seed int64, kRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -219,20 +264,27 @@ func TestBuildInvariantsRandom(t *testing.T) {
 		for v := range a.Parts {
 			a.Parts[v] = int32(rng.Intn(k))
 		}
-		parts, err := Build(g, a)
-		if err != nil {
-			return false
-		}
-		if Validate(g, parts) != nil {
-			return false
-		}
-		// Each partition has between 0 and its vertex count subgraphs.
-		for _, pd := range parts {
-			if len(pd.Subgraphs) > pd.NumVertices() {
+		for _, b := range builders {
+			parts, err := b.build(g, a)
+			if err != nil {
 				return false
 			}
-			if pd.NumVertices() > 0 && len(pd.Subgraphs) == 0 {
+			if Validate(g, parts) != nil {
 				return false
+			}
+			// Each partition has between 0 and its vertex count subgraphs.
+			for _, pd := range parts {
+				if len(pd.Subgraphs) > pd.NumVertices() {
+					return false
+				}
+				if pd.NumVertices() > 0 && len(pd.Subgraphs) == 0 {
+					return false
+				}
+			}
+			if b.name == "Singletons" {
+				if _, err := checkSingletons(g, parts); err != nil {
+					return false
+				}
 			}
 		}
 		return true
@@ -245,7 +297,32 @@ func TestBuildInvariantsRandom(t *testing.T) {
 func TestBuildRejectsBadAssignment(t *testing.T) {
 	g := gen.RoadNetwork(gen.RoadConfig{Rows: 3, Cols: 3, Seed: 1})
 	bad := &partition.Assignment{K: 2, Parts: make([]int32, 3)} // wrong length
-	if _, err := Build(g, bad); err == nil {
-		t.Error("Build should reject an assignment of the wrong size")
+	for _, b := range builders {
+		if _, err := b.build(g, bad); err == nil {
+			t.Errorf("%s should reject an assignment of the wrong size", b.name)
+		}
+	}
+}
+
+func TestValidateRejectsRemoteEdgeIntoOwnSubgraph(t *testing.T) {
+	g := gen.RoadNetwork(gen.RoadConfig{Rows: 4, Cols: 4, Seed: 5})
+	a := &partition.Assignment{K: 1, Parts: make([]int32, g.NumVertices())}
+	parts, err := Singletons(g, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Validate(g, parts); err != nil {
+		t.Fatalf("singletons in one partition: %v", err)
+	}
+	// Point local vertex 0's first remote edge back at its own subgraph.
+	pd := parts[0]
+	lo, _ := pd.OutEdges(0)
+	remote, ri := pd.IsRemote(lo)
+	if !remote {
+		t.Fatal("singleton edge is local")
+	}
+	pd.Remote[ri].TargetSubgraph = pd.SubgraphOf[0]
+	if err := Validate(g, parts); err == nil {
+		t.Error("Validate accepted a remote edge into its own subgraph")
 	}
 }
