@@ -15,7 +15,7 @@ import (
 //
 // Neither the node's barriers nor the engine's staged frames carry a sweep
 // identity, so the group must finish or fail a sweep together: a sweep that
-// errors on one rank only leaves the group unusable (ROADMAP item 4c).
+// errors on one rank only leaves the group unusable (ROADMAP item 1c).
 type Mesh struct {
 	// Remote and Coordinator are the rank's cluster.Node.
 	Remote      bsp.Remote

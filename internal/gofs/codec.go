@@ -46,12 +46,16 @@ const maxStringLen = 1 << 24
 // maxListLen bounds encoded slice lengths for the same reason.
 const maxListLen = 1 << 31
 
+// chunkVals is how many fixed-width values move per call. A CRC does not
+// depend on how its stream is chunked, so neither do the bytes on disk.
+const chunkVals = 4096
+
 // writer wraps a bufio.Writer with a running CRC and sticky error.
 type writer struct {
 	w   *bufio.Writer
 	crc uint32
 	err error
-	n   int64
+	buf [8 * chunkVals]byte // scratch every encode goes through
 }
 
 func newWriter(w io.Writer) *writer {
@@ -64,25 +68,34 @@ func (w *writer) write(p []byte) {
 	}
 	_, w.err = w.w.Write(p)
 	w.crc = crc32.Update(w.crc, crc32.IEEETable, p)
-	w.n += int64(len(p))
+}
+
+// run encodes n values of size bytes each a chunk at a time: put fills b
+// with values [lo, hi), then b goes out in one write.
+func (w *writer) run(n, size int, put func(b []byte, lo, hi int)) {
+	for lo := 0; lo < n; lo += chunkVals {
+		hi := min(lo+chunkVals, n)
+		b := w.buf[:size*(hi-lo)]
+		put(b, lo, hi)
+		w.write(b)
+	}
 }
 
 func (w *writer) u32(v uint32) {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	w.write(buf[:])
+	binary.LittleEndian.PutUint32(w.buf[:4], v)
+	w.write(w.buf[:4])
 }
 
 func (w *writer) u64(v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	w.write(buf[:])
+	binary.LittleEndian.PutUint64(w.buf[:8], v)
+	w.write(w.buf[:8])
 }
 
-func (w *writer) i32(v int32)    { w.u32(uint32(v)) }
-func (w *writer) i64(v int64)    { w.u64(uint64(v)) }
-func (w *writer) f64(v float64)  { w.u64(math.Float64bits(v)) }
-func (w *writer) byteVal(v byte) { w.write([]byte{v}) }
+func (w *writer) i64(v int64) { w.u64(uint64(v)) }
+func (w *writer) byteVal(v byte) {
+	w.buf[0] = v
+	w.write(w.buf[:1])
+}
 func (w *writer) boolVal(v bool) {
 	if v {
 		w.byteVal(1)
@@ -100,22 +113,20 @@ func (w *writer) str(s string) {
 	w.write([]byte(s))
 }
 
-func (w *writer) i32s(vs []int32) {
-	w.u64(uint64(len(vs)))
-	var buf [4]byte
-	for _, v := range vs {
-		binary.LittleEndian.PutUint32(buf[:], uint32(v))
-		w.write(buf[:])
-	}
-}
+func (w *writer) i32s(vs []int32) { writeInts(w, vs, 4) }
+func (w *writer) i64s(vs []int64) { writeInts(w, vs, 8) }
 
-func (w *writer) i64s(vs []int64) {
+func writeInts[T int32 | int64](w *writer, vs []T, size int) {
 	w.u64(uint64(len(vs)))
-	var buf [8]byte
-	for _, v := range vs {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		w.write(buf[:])
-	}
+	w.run(len(vs), size, func(b []byte, lo, hi int) {
+		for j, v := range vs[lo:hi] {
+			if size == 4 {
+				binary.LittleEndian.PutUint32(b[4*j:], uint32(v))
+			} else {
+				binary.LittleEndian.PutUint64(b[8*j:], uint64(v))
+			}
+		}
+	})
 }
 
 // finish writes the trailing CRC (not itself checksummed) and flushes.
@@ -123,23 +134,26 @@ func (w *writer) finish() error {
 	if w.err != nil {
 		return w.err
 	}
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], w.crc)
-	if _, err := w.w.Write(buf[:]); err != nil {
+	binary.LittleEndian.PutUint32(w.buf[:4], w.crc)
+	if _, err := w.w.Write(w.buf[:4]); err != nil {
 		return err
 	}
 	return w.w.Flush()
 }
 
-// reader wraps a bufio.Reader with a running CRC and sticky error.
+// reader decodes from its own read-ahead window with a running CRC and
+// sticky error. The CRC folds in consumed bytes only when the window
+// refills, so a scalar read is a bounds check and a load.
 type reader struct {
-	r   *bufio.Reader
-	crc uint32
-	err error
+	src      io.Reader
+	buf      []byte
+	pos, end int // buf[:pos] is read but not yet in crc; buf[pos:end] is unread
+	crc      uint32
+	err      error
 }
 
 func newReader(r io.Reader) *reader {
-	return &reader{r: bufio.NewReaderSize(r, 1<<16)}
+	return &reader{src: r, buf: make([]byte, 1<<16)}
 }
 
 func (r *reader) fail(err error) {
@@ -148,43 +162,63 @@ func (r *reader) fail(err error) {
 	}
 }
 
-func (r *reader) read(p []byte) {
+// next consumes the next n <= len(r.buf) bytes and returns them, valid
+// until the following call; nil once any read has failed.
+func (r *reader) next(n int) []byte {
+	if r.err == nil && r.end-r.pos < n {
+		r.crc = crc32.Update(r.crc, crc32.IEEETable, r.buf[:r.pos])
+		r.end = copy(r.buf, r.buf[r.pos:r.end])
+		r.pos = 0
+		k, err := io.ReadAtLeast(r.src, r.buf[r.end:], n-r.end)
+		r.end += k
+		r.fail(err)
+	}
 	if r.err != nil {
-		return
+		return nil
 	}
-	if _, err := io.ReadFull(r.r, p); err != nil {
-		r.err = err
-		return
+	r.pos += n
+	return r.buf[r.pos-n : r.pos]
+}
+
+// read fills p, which may be longer than the window.
+func (r *reader) read(p []byte) {
+	for len(p) > 0 && r.err == nil {
+		p = p[copy(p, r.next(min(len(p), len(r.buf)))):]
 	}
-	r.crc = crc32.Update(r.crc, crc32.IEEETable, p)
+}
+
+// run decodes n values of size bytes each a chunk at a time, straight out
+// of the window: get decodes values [lo, hi) from b. It stops at an error.
+func (r *reader) run(n, size int, get func(b []byte, lo, hi int)) {
+	for lo := 0; lo < n && r.err == nil; lo += chunkVals {
+		hi := min(lo+chunkVals, n)
+		if b := r.next(size * (hi - lo)); b != nil {
+			get(b, lo, hi)
+		}
+	}
 }
 
 func (r *reader) u32() uint32 {
-	var buf [4]byte
-	r.read(buf[:])
-	if r.err != nil {
-		return 0
+	if b := r.next(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	return binary.LittleEndian.Uint32(buf[:])
+	return 0
 }
 
 func (r *reader) u64() uint64 {
-	var buf [8]byte
-	r.read(buf[:])
-	if r.err != nil {
-		return 0
+	if b := r.next(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	return binary.LittleEndian.Uint64(buf[:])
+	return 0
 }
 
-func (r *reader) i32() int32   { return int32(r.u32()) }
-func (r *reader) i64() int64   { return int64(r.u64()) }
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
+func (r *reader) i64() int64 { return int64(r.u64()) }
 
 func (r *reader) byteVal() byte {
-	var buf [1]byte
-	r.read(buf[:])
-	return buf[0]
+	if b := r.next(1); b != nil {
+		return b[0]
+	}
+	return 0
 }
 
 func (r *reader) boolVal() bool { return r.byteVal() != 0 }
@@ -197,6 +231,9 @@ func (r *reader) str() string {
 	if n > maxStringLen {
 		r.fail(fmt.Errorf("gofs: string length %d exceeds format limit", n))
 		return ""
+	}
+	if int(n) <= len(r.buf) {
+		return string(r.next(int(n)))
 	}
 	buf := make([]byte, n)
 	r.read(buf)
@@ -215,36 +252,26 @@ func (r *reader) listLen() int {
 	return int(n)
 }
 
-func (r *reader) i32s() []int32 {
-	n := r.listLen()
-	if r.err != nil {
-		return nil
-	}
-	out := make([]int32, n)
-	var buf [4]byte
-	for i := range out {
-		r.read(buf[:])
-		if r.err != nil {
-			return nil
-		}
-		out[i] = int32(binary.LittleEndian.Uint32(buf[:]))
-	}
-	return out
-}
+func (r *reader) i32s() []int32 { return readInts[int32](r, 4) }
+func (r *reader) i64s() []int64 { return readInts[int64](r, 8) }
 
-func (r *reader) i64s() []int64 {
+// readInts decodes a list of size-byte integers. It grows the result as
+// chunks arrive rather than trusting the length prefix, so a corrupt prefix
+// fails at EOF having reserved at most one chunk past the bytes present.
+func readInts[T int32 | int64](r *reader, size int) []T {
 	n := r.listLen()
+	out := make([]T, 0, min(n, chunkVals))
+	r.run(n, size, func(b []byte, lo, hi int) {
+		for j := range hi - lo {
+			if size == 4 {
+				out = append(out, T(int32(binary.LittleEndian.Uint32(b[4*j:]))))
+			} else {
+				out = append(out, T(binary.LittleEndian.Uint64(b[8*j:])))
+			}
+		}
+	})
 	if r.err != nil {
 		return nil
-	}
-	out := make([]int64, n)
-	var buf [8]byte
-	for i := range out {
-		r.read(buf[:])
-		if r.err != nil {
-			return nil
-		}
-		out[i] = int64(binary.LittleEndian.Uint64(buf[:]))
 	}
 	return out
 }
@@ -255,12 +282,12 @@ func (r *reader) verifyCRC() error {
 	if r.err != nil {
 		return r.err
 	}
-	want := r.crc
-	var buf [4]byte
-	if _, err := io.ReadFull(r.r, buf[:]); err != nil {
-		return fmt.Errorf("gofs: reading checksum: %w", err)
+	want := crc32.Update(r.crc, crc32.IEEETable, r.buf[:r.pos])
+	b := r.next(4)
+	if b == nil {
+		return fmt.Errorf("gofs: reading checksum: %w", r.err)
 	}
-	got := binary.LittleEndian.Uint32(buf[:])
+	got := binary.LittleEndian.Uint32(b)
 	if got != want {
 		return fmt.Errorf("gofs: checksum mismatch: file %08x, computed %08x", got, want)
 	}
@@ -308,14 +335,16 @@ func writeColumnValues(w *writer, c *graph.Column, indices []int32) {
 	w.byteVal(byte(c.Type))
 	w.u64(uint64(len(indices)))
 	switch c.Type {
-	case graph.TInt:
-		for _, i := range indices {
-			w.i64(c.Ints[i])
-		}
-	case graph.TFloat:
-		for _, i := range indices {
-			w.f64(c.Floats[i])
-		}
+	case graph.TInt, graph.TFloat:
+		w.run(len(indices), 8, func(b []byte, lo, hi int) {
+			for j, i := range indices[lo:hi] {
+				if c.Type == graph.TInt {
+					binary.LittleEndian.PutUint64(b[8*j:], uint64(c.Ints[i]))
+				} else {
+					binary.LittleEndian.PutUint64(b[8*j:], math.Float64bits(c.Floats[i]))
+				}
+			}
+		})
 	case graph.TString:
 		for _, i := range indices {
 			w.str(c.Strings[i])
@@ -329,9 +358,14 @@ func writeColumnValues(w *writer, c *graph.Column, indices []int32) {
 			}
 		}
 	case graph.TBool:
-		for _, i := range indices {
-			w.boolVal(c.Bools[i])
-		}
+		w.run(len(indices), 1, func(b []byte, lo, hi int) {
+			for j, i := range indices[lo:hi] {
+				b[j] = 0
+				if c.Bools[i] {
+					b[j] = 1
+				}
+			}
+		})
 	default:
 		w.err = fmt.Errorf("gofs: cannot encode column type %v", c.Type)
 	}
@@ -385,14 +419,16 @@ func readColumnValues(r *reader, dst *graph.Column, indices []int32) {
 		return
 	}
 	switch dst.Type {
-	case graph.TInt:
-		for _, i := range indices {
-			dst.Ints[i] = r.i64()
-		}
-	case graph.TFloat:
-		for _, i := range indices {
-			dst.Floats[i] = r.f64()
-		}
+	case graph.TInt, graph.TFloat:
+		r.run(len(indices), 8, func(b []byte, lo, hi int) {
+			for j, i := range indices[lo:hi] {
+				if v := binary.LittleEndian.Uint64(b[8*j:]); dst.Type == graph.TInt {
+					dst.Ints[i] = int64(v)
+				} else {
+					dst.Floats[i] = math.Float64frombits(v)
+				}
+			}
+		})
 	case graph.TString:
 		for _, i := range indices {
 			dst.Strings[i] = r.str()
@@ -417,9 +453,11 @@ func readColumnValues(r *reader, dst *graph.Column, indices []int32) {
 			dst.StringLists[i] = list
 		}
 	case graph.TBool:
-		for _, i := range indices {
-			dst.Bools[i] = r.boolVal()
-		}
+		r.run(len(indices), 1, func(b []byte, lo, hi int) {
+			for j, i := range indices[lo:hi] {
+				dst.Bools[i] = b[j] != 0
+			}
+		})
 	default:
 		r.fail(fmt.Errorf("gofs: cannot decode column type %v", dst.Type))
 	}

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -270,8 +270,8 @@ func (s *Store) readPackSlices(ps int, want []bool) ([]*graph.Instance, []*graph
 	// summaries concatenate without duplicates; sort for determinism.
 	for _, d := range deltas {
 		if d != nil {
-			sort.Slice(d.Verts, func(a, b int) bool { return d.Verts[a] < d.Verts[b] })
-			sort.Slice(d.Edges, func(a, b int) bool { return d.Edges[a] < d.Edges[b] })
+			slices.Sort(d.Verts)
+			slices.Sort(d.Edges)
 		}
 	}
 	return instances, deltas, reads, nil
