@@ -58,7 +58,7 @@ var allExps = []string{
 	"datasets", "edgecut", "scalability", "baseline", "timesteps",
 	"progress", "utilization", "distributed",
 	"ablation-partition", "ablation-temporal", "ablation-packing",
-	"ablation-compress", "elastic", "prefetch", "chaos", "incremental",
+	"elastic", "prefetch", "chaos", "incremental",
 }
 
 // parseExps resolves a comma-separated -exp value to the set of
@@ -331,15 +331,6 @@ func main() {
 		}
 		report["ablation-temporal"] = rows
 		experiments.RenderTemporalParallelism(os.Stdout, rows)
-		fmt.Println()
-	}
-	if wanted["ablation-compress"] {
-		rows, err := experiments.CompressionAblation(sw, 6, dir, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		report["ablation-compress"] = rows
-		experiments.RenderCompressionAblation(os.Stdout, rows)
 		fmt.Println()
 	}
 	if wanted["elastic"] {

@@ -15,7 +15,7 @@ func TestParseExps(t *testing.T) {
 		{name: "all", spec: "all", want: allExps},
 		{name: "list", spec: "baseline, edgecut,baseline", want: []string{"baseline", "edgecut"}},
 		{name: "typo", spec: "baseline,serv", wantErr: `"serv"`},
-		{name: "deleted", spec: "baseline,serve", wantErr: `"serve"`},
+		{name: "deleted", spec: "baseline,serve,ablation-compress", wantErr: `"serve"`},
 		{name: "empty", spec: "", wantErr: `""`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

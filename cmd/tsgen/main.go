@@ -45,8 +45,7 @@ func main() {
 		parts     = flag.Int("parts", 6, "number of partitions (hosts)")
 		pack      = flag.Int("pack", 10, "GoFS temporal packing")
 		bin       = flag.Int("bin", 5, "GoFS subgraph binning")
-		compress  = flag.Bool("compress", false, "gzip-compress slice payloads")
-		snapEvery = flag.Int("snapshot-every", 0, "delta-encode slices with a full snapshot every N timesteps; 0 = full format (v1)")
+		snapEvery = flag.Int("snapshot-every", 0, "delta-encode slices with a full snapshot every N timesteps; 0 = full records")
 		seed      = flag.Int64("seed", 42, "random seed")
 		bundleDir = flag.String("bundle-dir", "", "directory for SIGQUIT-triggered diagnostic bundles (empty disables)")
 		version   = flag.Bool("version", false, "print build identity and exit")
@@ -165,10 +164,10 @@ func main() {
 		*parts, 100*float64(cut)/float64(total), assign.Imbalance())
 
 	if err := tsgraph.WriteDatasetOptions(*out, coll, assign, tsgraph.StoreOptions{
-		Pack: *pack, Bin: *bin, Compress: *compress, SnapshotEvery: *snapEvery,
+		Pack: *pack, Bin: *bin, SnapshotEvery: *snapEvery,
 	}); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("wrote %d instances to %s (pack=%d bin=%d compress=%v snapshot-every=%d)\n",
-		*steps, *out, *pack, *bin, *compress, *snapEvery)
+	fmt.Printf("wrote %d instances to %s (pack=%d bin=%d snapshot-every=%d)\n",
+		*steps, *out, *pack, *bin, *snapEvery)
 }

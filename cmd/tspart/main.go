@@ -10,9 +10,10 @@
 //	tspart -in data/road -rewrite data/road-delta -snapshot-every 10
 //
 // The -rewrite mode converts a dataset to new storage options (temporal
-// packing, binning, compression, delta encoding) while keeping the stored
-// partition assignment, so existing full-format datasets can be migrated to
-// the delta format without regenerating them.
+// packing, binning, delta encoding) while keeping the stored partition
+// assignment. It is also the migration for datasets in the legacy slice
+// formats (versions 1 and 2), which this build reads but cannot append to:
+// the rewrite is always in the current format.
 package main
 
 import (
@@ -42,7 +43,6 @@ func main() {
 		snapEvery = flag.Int("snapshot-every", 0, "rewrite: delta-encode with a full snapshot every N timesteps; 0 = full format")
 		rwPack    = flag.Int("pack", 0, "rewrite: temporal packing (0 = keep stored)")
 		rwBin     = flag.Int("bin", 0, "rewrite: subgraph binning (0 = keep stored)")
-		compress  = flag.Bool("compress", false, "rewrite: gzip-compress slice payloads (default: keep stored setting)")
 		bundleDir = flag.String("bundle-dir", "", "directory for SIGQUIT-triggered diagnostic bundles (empty disables)")
 		version   = flag.Bool("version", false, "print build identity and exit")
 	)
@@ -79,7 +79,7 @@ func main() {
 	if *rewrite != "" {
 		m := store.Manifest()
 		opts := tsgraph.StoreOptions{
-			Pack: m.Pack, Bin: m.Bin, Compress: m.Compress, SnapshotEvery: *snapEvery,
+			Pack: m.Pack, Bin: m.Bin, SnapshotEvery: *snapEvery,
 		}
 		if *rwPack > 0 {
 			opts.Pack = *rwPack
@@ -87,20 +87,12 @@ func main() {
 		if *rwBin > 0 {
 			opts.Bin = *rwBin
 		}
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "compress" {
-				opts.Compress = *compress
-			}
-		})
-		coll, err := store.LoadAll()
+		n, err := rewriteDataset(store, *rewrite, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := tsgraph.WriteDatasetOptions(*rewrite, coll, assign, opts); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("rewrote %d instances to %s (pack=%d bin=%d compress=%v snapshot-every=%d)\n",
-			coll.NumInstances(), *rewrite, opts.Pack, opts.Bin, opts.Compress, opts.SnapshotEvery)
+		fmt.Printf("rewrote %d instances to %s (pack=%d bin=%d snapshot-every=%d)\n",
+			n, *rewrite, opts.Pack, opts.Bin, opts.SnapshotEvery)
 		return
 	}
 	parts, err := subgraph.Build(tmpl, assign)
@@ -144,4 +136,15 @@ func main() {
 		}
 		fmt.Println()
 	}
+}
+
+// rewriteDataset writes every instance of store to dir in the current
+// format with opts, keeping the stored partition assignment, and returns
+// how many instances it wrote.
+func rewriteDataset(store *tsgraph.Store, dir string, opts tsgraph.StoreOptions) (int, error) {
+	coll, err := store.LoadAll()
+	if err != nil {
+		return 0, err
+	}
+	return coll.NumInstances(), tsgraph.WriteDatasetOptions(dir, coll, store.Assignment(), opts)
 }

@@ -88,7 +88,6 @@ func main() {
 		sloTarget     = flag.Duration("slo-target", 0, "SLO latency target (0 = -trace-slow)")
 		sloBudget     = flag.Float64("slo-error-budget", 0.01, "tolerated bad-request fraction for the SLO burn rate")
 		ingestOn      = flag.Bool("ingest", false, "accept live mutations on POST /ingest (delta-encoded datasets only); replays the WAL before serving")
-		retainMB      = flag.Int("retain-mb", 64, "with -ingest: byte budget for superseded tail-pack generations kept for slow readers")
 		ingestLag     = flag.Duration("ingest-lag", 0, "with -ingest and -bundle-dir: trip the watermark-lag anomaly detector when no append published for this long (0 disables)")
 		routerOn      = flag.Bool("router", false, "run as sharded-serving router: scatter queries over the -ranks replica groups, merge partials")
 		rankN         = flag.Int("rank", -1, "run as sharded-serving rank N of -ranks (serves shard RPCs; HTTP is observability only)")
@@ -157,7 +156,7 @@ func main() {
 	// the first query already sees the recovered head.
 	var ing *ingest.Ingester
 	if *ingestOn {
-		ing, err = ingest.Open(store, ingest.Options{RetainBytes: int64(*retainMB) << 20})
+		ing, err = ingest.Open(store, ingest.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -285,8 +284,8 @@ func main() {
 	fmt.Printf("tsserve: dataset %s: %d vertices, %d instances, %d partitions (pack=%d, %s)\n",
 		tmpl.Name, tmpl.NumVertices(), store.Timesteps(), assign.K, manifest.Pack, cacheBound)
 	if ing != nil {
-		fmt.Printf("tsserve: ingest enabled: watermark %d, retain %d MiB of superseded packs\n",
-			ing.Watermark(), *retainMB)
+		fmt.Printf("tsserve: ingest enabled: watermark %d, WAL %s\n",
+			ing.Watermark(), ingest.WALPath(*in))
 	}
 	if router != nil {
 		fmt.Printf("tsserve: router over %d ranks in %d replica groups (timeout %v, cooldown %v)\n",

@@ -59,7 +59,7 @@ func TestCLIPipeline(t *testing.T) {
 
 	out := runTool(t, bin, "tsgen",
 		"-out", ds, "-graph", "road", "-rows", "16", "-cols", "16",
-		"-steps", "8", "-data", "both", "-hit", "0.3", "-parts", "3", "-compress")
+		"-steps", "8", "-data", "both", "-hit", "0.3", "-parts", "3", "-snapshot-every", "3")
 	if !strings.Contains(out, "wrote 8 instances") {
 		t.Fatalf("tsgen output: %s", out)
 	}

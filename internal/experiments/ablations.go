@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"tsgraph/internal/bsp"
 	"tsgraph/internal/core"
 	"tsgraph/internal/gofs"
-	"tsgraph/internal/graph"
 	"tsgraph/internal/partition"
 	"tsgraph/internal/subgraph"
 )
@@ -198,73 +196,5 @@ func RenderPackingAblation(w io.Writer, rows []PackingRow) {
 		fmt.Fprintf(w, "%6d %12s %12s %12d %12s\n",
 			r.Pack, r.MeanLoad.Round(time.Microsecond), r.SpikeLoad.Round(time.Microsecond),
 			r.SliceReads, r.TotalSim.Round(time.Millisecond))
-	}
-}
-
-// CompressionRow compares raw vs gzip slice storage: bytes on disk and full
-// sequential load time, for both instance data styles (dense random
-// latencies vs sparse tweets).
-type CompressionRow struct {
-	Data     string
-	Compress bool
-	Bytes    int64
-	LoadTime time.Duration
-}
-
-// CompressionAblation writes each dataset both ways and measures size and
-// load cost.
-func CompressionAblation(ds *Dataset, k int, dir string, seed int64) ([]CompressionRow, error) {
-	_, a, err := buildParts(ds, k, seed)
-	if err != nil {
-		return nil, err
-	}
-	var rows []CompressionRow
-	for _, spec := range []struct {
-		name string
-		coll *graph.Collection
-	}{{"latencies", ds.Latencies}, {"tweets", ds.Tweets}} {
-		for _, compress := range []bool{false, true} {
-			dsDir := filepath.Join(dir, fmt.Sprintf("cmp_%s_%v", spec.name, compress))
-			if err := gofs.WriteDatasetOptions(dsDir, spec.coll, a, gofs.Options{
-				Pack: gofs.DefaultPack, Bin: gofs.DefaultBin, Compress: compress,
-			}); err != nil {
-				return nil, err
-			}
-			var bytes int64
-			filepath.WalkDir(dsDir, func(path string, d os.DirEntry, err error) error {
-				if err == nil && !d.IsDir() {
-					if fi, err := d.Info(); err == nil {
-						bytes += fi.Size()
-					}
-				}
-				return nil
-			})
-			store, err := gofs.Open(dsDir)
-			if err != nil {
-				return nil, err
-			}
-			loader := gofs.NewLoader(store)
-			start := time.Now()
-			for ts := 0; ts < store.Timesteps(); ts++ {
-				if _, err := loader.Load(ts); err != nil {
-					return nil, err
-				}
-			}
-			rows = append(rows, CompressionRow{
-				Data: spec.name, Compress: compress,
-				Bytes: bytes, LoadTime: time.Since(start),
-			})
-			os.RemoveAll(dsDir)
-		}
-	}
-	return rows, nil
-}
-
-// RenderCompressionAblation writes the ablation as text.
-func RenderCompressionAblation(w io.Writer, rows []CompressionRow) {
-	fmt.Fprintf(w, "== Ablation: GoFS slice compression (storage vs load-time tradeoff) ==\n")
-	fmt.Fprintf(w, "%-12s %-10s %14s %12s\n", "Data", "Compress", "Bytes", "Load time")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-12s %-10v %14d %12s\n", r.Data, r.Compress, r.Bytes, r.LoadTime.Round(time.Millisecond))
 	}
 }

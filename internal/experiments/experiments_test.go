@@ -392,35 +392,6 @@ func TestElasticHeadroom(t *testing.T) {
 		t.Error("render missing header")
 	}
 }
-
-func TestCompressionAblation(t *testing.T) {
-	_, sw := datasets(t)
-	rows, err := CompressionAblation(sw, 3, t.TempDir(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	byKey := map[string]int64{}
-	for _, r := range rows {
-		key := r.Data
-		if r.Compress {
-			key += "+gz"
-		}
-		byKey[key] = r.Bytes
-	}
-	// Sparse tweet columns must compress substantially.
-	if byKey["tweets+gz"] >= byKey["tweets"] {
-		t.Errorf("tweets did not compress: %d -> %d", byKey["tweets"], byKey["tweets+gz"])
-	}
-	var buf bytes.Buffer
-	RenderCompressionAblation(&buf, rows)
-	if !strings.Contains(buf.String(), "Compress") {
-		t.Error("render missing header")
-	}
-}
-
 func TestIncrementalAblation(t *testing.T) {
 	road, _ := datasets(t)
 	res, err := IncrementalAblation(road, []float64{0.01, 1}, 6, t.TempDir(), 4, 2, 4, bsp.Config{CoresPerHost: 2}, 1)

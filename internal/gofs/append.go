@@ -1,22 +1,23 @@
 package gofs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"strings"
 
 	"tsgraph/internal/graph"
 	"tsgraph/internal/subgraph"
 )
 
 // Appender grows an open dataset one timestep at a time, producing the same
-// bytes WriteDataset would have produced for the grown prefix: the tail
-// pack is re-encoded through the shared slicePayload encoder on every
-// append and published under a length-suffixed part name (complete packs
-// take over the plain name), then the manifest generation is swapped
-// atomically. Readers holding an older generation keep a consistent view —
-// their files are never rewritten, only superseded.
+// bytes WriteDataset would have produced for the grown prefix. Each append
+// writes one framed record at the end of every bin's tail-pack slice file,
+// fsyncs it, and then publishes a manifest whose Timesteps covers it. A
+// pack start creates the pack's files with their header. Nothing is
+// rewritten or renamed: a reader holding an older manifest decodes fewer
+// records of the same files, and those bytes never change.
 //
 // An Appender is single-writer: callers serialize Append themselves (the
 // ingest layer holds one mutex across WAL append + fold + publish). It is
@@ -24,90 +25,113 @@ import (
 type Appender struct {
 	store *Store
 	bins  [][]binInfo // [partition][bin]
-
-	// Tail-pack state. prev is the head instance (nil on an empty
-	// dataset); tail covers the current, possibly partial, pack.
-	prev *graph.Instance
-	tail []*graph.Instance
-	// Per tail step, the global dirty masks vs. the previous timestep
-	// (nil at the collection's first timestep). Only kept for
-	// delta-encoded datasets.
-	tailVD, tailED [][]bool
+	prev  *graph.Instance
+	w     *writer
+	// Dirty masks of the step being appended, reused across appends.
+	vd, ed []bool
+	// The tail pack's open files in partition-major bin order, empty when
+	// the tail pack is complete and the next append starts a new one.
+	tail []tailFile
 }
 
-type binInfo struct {
-	verts, edges []int32
+// tailFile is one bin's slice file of the tail pack.
+type tailFile struct {
+	f *os.File
+	// size is the byte length the published manifest covers; next is the
+	// length once the record being appended is published.
+	size, next int64
 }
 
-// NewAppender opens an append session on a store, rebuilding the bin
-// layout from the manifest's assignment and rehydrating the tail pack so
-// the first live append continues exactly where the offline writer (or a
-// previous session) stopped.
+// NewAppender opens an append session on a store. It rebuilds the bin
+// layout from the manifest's assignment, decodes the head instance, and
+// opens a partial tail pack's files, cutting each back to the end of its
+// last published record: a record written past the manifest by an
+// interrupted append is discarded here, as OpenWAL cuts a torn WAL tail.
+// Legacy (version 1 or 2) datasets are refused; tspart -rewrite migrates
+// them.
 func NewAppender(s *Store) (*Appender, error) {
 	m := s.m()
+	if m.version != formatVersionFramed {
+		return nil, fmt.Errorf("gofs: %s is a format version %d dataset, which cannot be appended to; migrate it with tspart -rewrite", s.dir, m.version)
+	}
 	t := s.template
 	parts, err := subgraph.Build(t, s.Assignment())
 	if err != nil {
 		return nil, err
 	}
-	a := &Appender{store: s, bins: make([][]binInfo, m.K)}
-	for p, pd := range parts {
-		nBins := (len(pd.Subgraphs) + m.Bin - 1) / m.Bin
-		if nBins == 0 {
-			nBins = 1
-		}
-		if int32(nBins) != m.BinsPerPartition[p] {
-			return nil, fmt.Errorf("gofs: partition %d rebuilds to %d bins, manifest says %d", p, nBins, m.BinsPerPartition[p])
-		}
-		a.bins[p] = make([]binInfo, nBins)
-		for b := 0; b < nBins; b++ {
-			verts, edges := binMembers(t, pd, b, m.Bin)
-			a.bins[p][b] = binInfo{verts: verts, edges: edges}
+	bins, binsPer := binLayout(t, parts, m.Bin)
+	for p, n := range binsPer {
+		if n != m.BinsPerPartition[p] {
+			return nil, fmt.Errorf("gofs: partition %d rebuilds to %d bins, manifest says %d", p, n, m.BinsPerPartition[p])
 		}
 	}
-	if m.Timesteps > 0 {
-		ps := ((m.Timesteps - 1) / m.Pack) * m.Pack
-		instances, deltas, _, err := s.ReadPackDeltas(ps, nil)
-		if err != nil {
-			return nil, fmt.Errorf("gofs: rehydrating tail pack %d: %w", ps, err)
-		}
-		a.tail = instances
-		a.prev = instances[len(instances)-1]
-		if m.SnapshotEvery > 0 {
-			for _, d := range deltas {
-				vd, ed := deltaMasks(t, d)
-				a.tailVD = append(a.tailVD, vd)
-				a.tailED = append(a.tailED, ed)
+	a := &Appender{store: s, bins: bins, w: &writer{}}
+	if m.SnapshotEvery > 0 {
+		a.vd, a.ed = make([]bool, t.NumVertices()), make([]bool, t.NumEdges())
+	}
+	if m.Timesteps == 0 {
+		return a, nil
+	}
+	ps := ((m.Timesteps - 1) / m.Pack) * m.Pack
+	instances, _, _, err := s.ReadPackDeltas(ps, nil)
+	if err != nil {
+		return nil, fmt.Errorf("gofs: rehydrating tail pack %d: %w", ps, err)
+	}
+	a.prev = instances[len(instances)-1]
+	if m.Timesteps%m.Pack == 0 {
+		return a, nil
+	}
+	for p := range a.bins {
+		for b := range a.bins[p] {
+			f, err := os.OpenFile(slicePath(s.dir, p, b, ps), os.O_RDWR, 0)
+			if err != nil {
+				a.Close()
+				return nil, err
 			}
+			a.tail = append(a.tail, tailFile{f: f})
+			// The header frame, then one frame per published timestep.
+			end, err := framesEnd(f, 1+m.Timesteps-ps)
+			if err == nil {
+				err = f.Truncate(end)
+			}
+			if err != nil {
+				a.Close()
+				return nil, err
+			}
+			a.tail[len(a.tail)-1].size = end
 		}
 	}
 	return a, nil
 }
 
-// deltaMasks expands a decoded change summary back into global dirty masks
-// (nil for a nil summary — the collection's first timestep).
-func deltaMasks(t *graph.Template, d *graph.Delta) (vd, ed []bool) {
-	if d == nil {
-		return nil, nil
+// framesEnd returns the offset just past the first n frames of a framed
+// slice file, failing if the file is shorter.
+func framesEnd(f *os.File, n int) (int64, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, err
 	}
-	vd = make([]bool, t.NumVertices())
-	ed = make([]bool, t.NumEdges())
-	for _, v := range d.Verts {
-		vd[v] = true
+	off := int64(8) // magic, version
+	var b [4]byte
+	for i := 0; i < n; i++ {
+		if _, err := f.ReadAt(b[:], off); err != nil {
+			return 0, fmt.Errorf("gofs: %s: reading frame %d: %w", f.Name(), i, err)
+		}
+		off += 4 + int64(binary.LittleEndian.Uint32(b[:])) + 4
 	}
-	for _, e := range d.Edges {
-		ed[e] = true
+	if off > fi.Size() {
+		return 0, fmt.Errorf("gofs: %s: %d bytes, its published frames end at %d", f.Name(), fi.Size(), off)
 	}
-	return vd, ed
+	return off, nil
 }
 
 // Head returns the most recently appended (or rehydrated) instance, nil on
 // an empty dataset. The caller must treat it as immutable.
 func (a *Appender) Head() *graph.Instance { return a.prev }
 
-// Append folds one new timestep into the dataset and publishes it: the
-// tail pack's slice files are rewritten atomically under the new length's
-// name, then the manifest commit makes the timestep visible. The Appender
+// Append folds one new timestep into the dataset and publishes it: one
+// record per bin is written and fsynced past the published end of the tail
+// pack, then the manifest commit makes the timestep visible. The Appender
 // takes ownership of ins — callers must not mutate it afterwards.
 //
 // Determinism: given the same prefix and the same appended instances, the
@@ -127,48 +151,36 @@ func (a *Appender) Append(ins *graph.Instance) error {
 	if err := ins.Validate(s.template); err != nil {
 		return err
 	}
-	ps := (T / m.Pack) * m.Pack
-	if ps == T {
-		// New pack: the previous one is complete (or the dataset empty).
-		a.tail = a.tail[:0]
-		a.tailVD, a.tailED = a.tailVD[:0], a.tailED[:0]
+	if T%m.Pack == 0 {
+		if err := a.startPack(T); err != nil {
+			return err
+		}
 	}
 	var vd, ed []bool
-	if m.SnapshotEvery > 0 && T > 0 {
-		t := s.template
-		vd = make([]bool, t.NumVertices())
-		ed = make([]bool, t.NumEdges())
-		graph.MarkChanged(a.prev, ins, vd, ed)
+	if a.vd != nil && T > 0 {
+		clear(a.vd)
+		clear(a.ed)
+		graph.MarkChanged(a.prev, ins, a.vd, a.ed)
+		vd, ed = a.vd, a.ed
 	}
-	tail := append(a.tail, ins)
-	tailVD := append(a.tailVD, vd)
-	tailED := append(a.tailED, ed)
-	packLen := len(tail)
-
+	i := 0
 	for p := range a.bins {
 		for b := range a.bins[p] {
-			bi := &a.bins[p][b]
-			sp := &slicePayload{
-				p: p, b: b, packStart: ps,
-				verts: bi.verts, edges: bi.edges,
-				instances: tail,
-			}
-			if m.SnapshotEvery > 0 {
-				sp.delta = true
-				for i := 0; i < packLen; i++ {
-					s := ps + i
-					sp.snaps = append(sp.snaps, m.snapshotStep(s))
-					sp.chV = append(sp.chV, changedIn(bi.verts, tailVD[i]))
-					sp.chE = append(sp.chE, changedIn(bi.edges, tailED[i]))
-				}
-			}
-			path := slicePath(s.dir, p, b, ps)
-			if packLen < m.Pack {
-				path = partSlicePath(s.dir, p, b, ps, packLen)
-			}
-			if err := writeSliceAtomic(path, sp, m.Compress); err != nil {
+			tf := &a.tail[i]
+			rec := encodeRecord(a.w, m, ins, &a.bins[p][b], vd, ed)
+			if err := a.w.err; err != nil {
 				return err
 			}
+			if _, err := tf.f.WriteAt(rec, tf.size); err != nil {
+				return err
+			}
+			tf.next = tf.size + int64(len(rec))
+			i++
+		}
+	}
+	for _, tf := range a.tail {
+		if err := tf.f.Sync(); err != nil {
+			return err
 		}
 	}
 
@@ -177,109 +189,73 @@ func (a *Appender) Append(ins *graph.Instance) error {
 	if err := s.publish(&nm); err != nil {
 		return err
 	}
-	a.tail = tail
-	a.tailVD, a.tailED = tailVD, tailED
+	for i := range a.tail {
+		a.tail[i].size = a.tail[i].next
+	}
 	a.prev = ins
+	if nm.Timesteps%m.Pack == 0 {
+		// The pack is complete. Its records are fsynced and published, so
+		// a Close error cannot lose them and must not fail the append.
+		_ = a.closeTail()
+	}
 	return nil
 }
 
-// supersededSlice describes one no-longer-current part file on disk.
-type supersededSlice struct {
-	path    string
-	ps, len int
-	size    int64
+// startPack creates the files of the pack starting at ps, each holding
+// only its header, and makes them the tail. A file left by an append that
+// never published is overwritten.
+func (a *Appender) startPack(ps int) error {
+	// Open files here belong to a failed earlier attempt at this step.
+	_ = a.closeTail()
+	for p := range a.bins {
+		for b := range a.bins[p] {
+			f, err := os.OpenFile(slicePath(a.store.dir, p, b, ps), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+			if err != nil {
+				return err
+			}
+			a.tail = append(a.tail, tailFile{f: f})
+			hdr := sliceHeader(a.w, p, b, ps, &a.bins[p][b])
+			if _, err := f.Write(hdr); err != nil {
+				return err
+			}
+			a.tail[len(a.tail)-1].size = int64(len(hdr))
+		}
+	}
+	return nil
 }
 
-// TrimSuperseded deletes part files made obsolete by newer publications,
-// keeping (a) the live generation, (b) the two most recent superseded
-// generations per pack — so a reader that resolved a path a moment before
-// an append never finds it deleted under its feet — and (c) up to
-// retainBytes of older superseded files as a grace window for slow
-// readers. Stray temp files from interrupted atomic writes are always
-// removed. It returns how many files were deleted and how many bytes were
-// freed.
-func (s *Store) TrimSuperseded(retainBytes int64) (removed int, freed int64, err error) {
-	m := s.m()
-	dir := filepath.Join(s.dir, sliceDir)
-	entries, err := os.ReadDir(dir)
+// closeTail closes the tail pack's files.
+func (a *Appender) closeTail() error {
+	var first error
+	for _, tf := range a.tail {
+		if err := tf.f.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	a.tail = a.tail[:0]
+	return first
+}
+
+// Close releases the tail pack's open files. The dataset needs no other
+// closing.
+func (a *Appender) Close() error { return a.closeTail() }
+
+// TrimSuperseded deletes the temp files an interrupted manifest publish
+// leaves behind, returning how many files were deleted and how many bytes
+// were freed. Slice files are never superseded: each pack grows in place.
+func (s *Store) TrimSuperseded() (removed int, freed int64, err error) {
+	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return 0, 0, err
 	}
-	tailPS := -1
-	tailLen := 0
-	if m.Timesteps > 0 {
-		tailPS = ((m.Timesteps - 1) / m.Pack) * m.Pack
-		tailLen = m.Timesteps - tailPS
-	}
-	perBin := make(map[[2]int][]supersededSlice)
 	for _, e := range entries {
-		name := e.Name()
-		if len(name) > 0 && name[0] == '.' {
-			// Orphaned temp file from an interrupted atomic write.
-			path := filepath.Join(dir, name)
-			if info, err := e.Info(); err == nil {
-				if os.Remove(path) == nil {
-					removed++
-					freed += info.Size()
-				}
-			}
+		if e.IsDir() || !strings.HasPrefix(e.Name(), ".manifest_") {
 			continue
-		}
-		var p, b, ps, plen int
-		if n, _ := fmt.Sscanf(name, "p%d_b%d_t%d.part%d.slice", &p, &b, &ps, &plen); n != 4 {
-			continue
-		}
-		if ps == tailPS && plen == tailLen && tailLen < m.Pack {
-			continue // the live tail generation
 		}
 		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		key := [2]int{p, b}
-		perBin[key] = append(perBin[key], supersededSlice{
-			path: filepath.Join(dir, name), ps: ps, len: plen, size: info.Size(),
-		})
-	}
-	// Newest-first per bin; the two freshest superseded generations are
-	// protected unconditionally.
-	var candidates []supersededSlice
-	var retained int64
-	for _, files := range perBin {
-		sort.Slice(files, func(i, j int) bool {
-			if files[i].ps != files[j].ps {
-				return files[i].ps > files[j].ps
-			}
-			return files[i].len > files[j].len
-		})
-		for i, f := range files {
-			if i < 2 {
-				retained += f.size
-				continue
-			}
-			candidates = append(candidates, f)
-		}
-	}
-	// Oldest first among the remaining, deleted until the superseded total
-	// fits the budget.
-	sort.Slice(candidates, func(i, j int) bool {
-		if candidates[i].ps != candidates[j].ps {
-			return candidates[i].ps < candidates[j].ps
-		}
-		return candidates[i].len < candidates[j].len
-	})
-	var candBytes int64
-	for _, f := range candidates {
-		candBytes += f.size
-	}
-	for _, f := range candidates {
-		if retained+candBytes <= retainBytes {
-			break
-		}
-		if err := os.Remove(f.path); err == nil {
+		if err == nil && os.Remove(filepath.Join(s.dir, e.Name())) == nil {
 			removed++
-			freed += f.size
-			candBytes -= f.size
+			freed += info.Size()
 		}
 	}
 	return removed, freed, nil

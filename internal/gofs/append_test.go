@@ -1,10 +1,14 @@
 package gofs
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
+
+	"tsgraph/internal/gen"
+	"tsgraph/internal/graph"
+	"tsgraph/internal/partition"
 )
 
 // appendFrom grows the dataset at dir with steps [from, to) of a reference
@@ -19,6 +23,7 @@ func appendFrom(t *testing.T, dir string, from, to int) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer app.Close()
 	c, _ := makeDataset(t, to, 3)
 	for step := from; step < to; step++ {
 		if err := app.Append(c.Instance(step)); err != nil {
@@ -28,35 +33,32 @@ func appendFrom(t *testing.T, dir string, from, to int) *Store {
 	return s
 }
 
-// readDirFiles maps file name -> content for every regular file matching
-// keep (nil = all) directly under dir.
-func readDirFiles(t *testing.T, dir string, keep func(string) bool) map[string][]byte {
-	t.Helper()
+// readDirFiles maps file name -> content for every regular file directly
+// under dir.
+func readDirFiles(tb testing.TB, dir string) map[string][]byte {
+	tb.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	out := map[string][]byte{}
 	for _, e := range entries {
-		if e.IsDir() || (keep != nil && !keep(e.Name())) {
+		if e.IsDir() {
 			continue
 		}
 		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		out[e.Name()] = data
 	}
 	return out
 }
 
-func plainSlice(name string) bool {
-	return strings.HasSuffix(name, ".slice") && !strings.Contains(name, ".part")
-}
-
 // TestAppendMatchesOffline: growing a dataset live, one timestep at a
-// time, yields completed packs byte-identical to an offline WriteDataset
-// of the full collection — for both the full (v1) and delta (v2) formats.
+// time, leaves after every append a directory byte-identical, file for
+// file and tail pack included, to an offline WriteDataset of the same
+// prefix — for both the full and the delta-encoded record layouts.
 func TestAppendMatchesOffline(t *testing.T) {
 	const steps, k = 12, 3
 	for _, tc := range []struct {
@@ -65,52 +67,35 @@ func TestAppendMatchesOffline(t *testing.T) {
 	}{
 		{"full", Options{Pack: 4, Bin: 2}},
 		{"delta", Options{Pack: 4, Bin: 2, SnapshotEvery: 3}},
-		{"compressed", Options{Pack: 4, Bin: 2, SnapshotEvery: 3, Compress: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, a := makeDataset(t, steps, k)
-			offline := t.TempDir()
-			if err := WriteDatasetOptions(offline, c, a, tc.opts); err != nil {
-				t.Fatal(err)
-			}
-			// Live: seed with the first pack offline, append the rest.
+			// Live: seed with three steps offline, so the first append
+			// completes a partial pack, then append the rest.
 			live := t.TempDir()
-			seed, _ := makeDataset(t, 4, k)
-			if err := WriteDatasetOptions(live, seed, a, tc.opts); err != nil {
+			if err := WriteDatasetOptions(live, prefixOf(t, c, 3), a, tc.opts); err != nil {
 				t.Fatal(err)
 			}
-			s := appendFrom(t, live, 4, steps)
-			if s.Timesteps() != steps {
-				t.Fatalf("watermark = %d, want %d", s.Timesteps(), steps)
-			}
-
-			wantSlices := readDirFiles(t, filepath.Join(offline, sliceDir), plainSlice)
-			gotSlices := readDirFiles(t, filepath.Join(live, sliceDir), plainSlice)
-			if len(wantSlices) != len(gotSlices) {
-				t.Fatalf("plain slice count: offline %d, live %d", len(wantSlices), len(gotSlices))
-			}
-			for name, want := range wantSlices {
-				got, ok := gotSlices[name]
-				if !ok {
-					t.Fatalf("live dataset missing %s", name)
-				}
-				if string(want) != string(got) {
-					t.Errorf("%s differs between offline and live write", name)
-				}
-			}
-			wantMan, err := os.ReadFile(filepath.Join(offline, manifestFile))
+			s, err := Open(live)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotMan, err := os.ReadFile(filepath.Join(live, manifestFile))
+			app, err := NewAppender(s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if string(wantMan) != string(gotMan) {
-				t.Error("manifest differs between offline and live write")
+			defer app.Close()
+			for step := 3; step < steps; step++ {
+				if err := app.Append(c.Instance(step)); err != nil {
+					t.Fatalf("append step %d: %v", step, err)
+				}
+				offline := t.TempDir()
+				if err := WriteDatasetOptions(offline, prefixOf(t, c, step+1), a, tc.opts); err != nil {
+					t.Fatal(err)
+				}
+				sameFiles(t, offline, live)
 			}
 
-			// Logical equality of the whole collection, including any tail.
 			reopened, err := Open(live)
 			if err != nil {
 				t.Fatal(err)
@@ -124,10 +109,40 @@ func TestAppendMatchesOffline(t *testing.T) {
 	}
 }
 
-// TestAppendPartialTail: a dataset whose tail pack is incomplete publishes
-// part-named slices, loads correctly through a fresh Open, and continues
-// growing after an Appender restart (rehydration) with byte-identical
-// results to an uninterrupted appender.
+// prefixOf returns the first n instances of c as a collection.
+func prefixOf(tb testing.TB, c *graph.Collection, n int) *graph.Collection {
+	tb.Helper()
+	out := graph.NewCollection(c.Template, c.T0, c.Delta)
+	for s := 0; s < n; s++ {
+		if err := out.Append(c.Instance(s)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return out
+}
+
+// sameFiles fails unless the dataset directories hold the same file names
+// with the same bytes (a WAL, which only a live directory has, aside).
+func sameFiles(tb testing.TB, want, got string) {
+	tb.Helper()
+	w, g := hashTree(tb, want, ""), hashTree(tb, got, "")
+	delete(g, "/"+WALName)
+	for name, sum := range w {
+		if g[name] != sum {
+			tb.Errorf("%s: offline sha256 %.12s, live %.12q", name, sum, g[name])
+		}
+	}
+	for name := range g {
+		if _, ok := w[name]; !ok {
+			tb.Errorf("%s: only in the live directory", name)
+		}
+	}
+}
+
+// TestAppendPartialTail: a dataset whose tail pack is incomplete loads
+// correctly through a fresh Open, and continues growing after an Appender
+// restart (rehydration) with byte-identical results to an uninterrupted
+// appender.
 func TestAppendPartialTail(t *testing.T) {
 	const steps, k = 11, 3 // pack 4 -> tail pack holds 3 of 4 steps
 	opts := Options{Pack: 4, Bin: 2, SnapshotEvery: 3}
@@ -149,8 +164,8 @@ func TestAppendPartialTail(t *testing.T) {
 	appendFrom(t, inter, 4, 8)
 	appendFrom(t, inter, 8, steps)
 
-	uniFiles := readDirFiles(t, filepath.Join(uni, sliceDir), nil)
-	interFiles := readDirFiles(t, filepath.Join(inter, sliceDir), nil)
+	uniFiles := readDirFiles(t, filepath.Join(uni, sliceDir))
+	interFiles := readDirFiles(t, filepath.Join(inter, sliceDir))
 	for name, want := range uniFiles {
 		got, ok := interFiles[name]
 		if !ok {
@@ -228,58 +243,88 @@ func TestAppendLiveReaders(t *testing.T) {
 	}
 }
 
-// TestTrimSuperseded: appending leaves superseded part-file generations
-// behind; trimming under a zero budget removes all but the live tail and
-// the two most recent superseded generations per bin, and the dataset
-// still loads afterwards.
+// TestTrimSuperseded: the temp files an interrupted publish leaves are
+// swept, and nothing else is touched.
 func TestTrimSuperseded(t *testing.T) {
-	const steps, k = 11, 3
-	opts := Options{Pack: 4, Bin: 2, SnapshotEvery: 3}
 	dir := t.TempDir()
-	seed, a := makeDataset(t, 4, k)
-	if err := WriteDatasetOptions(dir, seed, a, opts); err != nil {
+	seed, a := makeDataset(t, 5, 3)
+	if err := WriteDatasetOptions(dir, seed, a, Options{Pack: 4, Bin: 2, SnapshotEvery: 3}); err != nil {
 		t.Fatal(err)
 	}
-	s := appendFrom(t, dir, 4, steps)
-
-	countParts := func() int {
-		n := 0
-		for name := range readDirFiles(t, filepath.Join(dir, sliceDir), nil) {
-			if strings.Contains(name, ".part") {
-				n++
-			}
+	before := hashTree(t, dir, "")
+	if err := os.WriteFile(filepath.Join(dir, ".manifest_123"), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	removed, freed, err := s.TrimSuperseded()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if removed != 1 || freed != 4 {
+		t.Fatalf("swept %d files / %d bytes, want 1 / 4", removed, freed)
+	}
+	after := hashTree(t, dir, "")
+	if len(after) != len(before) {
+		t.Fatalf("%d files after the sweep, want the %d written", len(after), len(before))
+	}
+	for name, sum := range before {
+		if after[name] != sum {
+			t.Errorf("%s changed by the sweep", name)
 		}
-		return n
 	}
-	before := countParts()
-	removed, freed, err := s.TrimSuperseded(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed == 0 || freed <= 0 {
-		t.Fatalf("trim removed %d files / %d bytes, want > 0", removed, freed)
-	}
-	after := countParts()
-	if after >= before {
-		t.Fatalf("part files %d -> %d, want fewer", before, after)
-	}
-	// The live generation plus up to two protected superseded generations
-	// per bin survive a zero budget.
-	c, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.LoadAll()
-	if err != nil {
-		t.Fatalf("dataset unreadable after trim: %v", err)
-	}
-	want, _ := makeDataset(t, steps, k)
-	collectionsEqual(t, want, got)
+}
 
-	// Idempotent: a second trim with everything already protected is a
-	// no-op.
-	if removed, _, err := s.TrimSuperseded(0); err != nil || removed != 0 {
-		t.Fatalf("second trim removed %d (err %v), want 0", removed, err)
+// TestAppendBytesPerDeltaStep measures what one live append writes at the
+// benchmark's scale: a 160×160 road network in four partitions, packs of
+// 8, a snapshot every 4 steps, and 1 % of edge latencies changed per
+// step. A delta step appends one record per bin and nothing else.
+func TestAppendBytesPerDeltaStep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 25.6k-vertex dataset")
+	}
+	g := gen.RoadNetwork(gen.RoadConfig{Rows: 160, Cols: 160, RemoveFrac: 0.15, ShortcutFrac: 0.01, Seed: 42})
+	c, err := gen.RandomLatencies(g, gen.LatencyConfig{Timesteps: 1, Delta: 60, Min: 1, Max: 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gen.RandomLoads(c, 2, 0, 100); err != nil {
+		t.Fatal(err)
+	}
+	a, err := (partition.Multilevel{Seed: 1}).Partition(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	mustWrite(t, dir, c, a, Options{Pack: 8, Bin: 5, SnapshotEvery: 4})
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := NewAppender(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer app.Close()
+	rng := rand.New(rand.NewSource(3))
+	li := g.EdgeSchema().Index(gen.AttrLatency)
+	for step := 1; step < 4; step++ { // steps 1-3 are deltas
+		ins := app.Head().Clone()
+		ins.Timestep, ins.Time = step, int64(step)*60
+		for i := 0; i < g.NumEdges()/100; i++ {
+			ins.EdgeCols[li].Floats[rng.Intn(g.NumEdges())] = 1 + 19*rng.Float64()
+		}
+		before := dirBytes(t, filepath.Join(dir, sliceDir))
+		if err := app.Append(ins); err != nil {
+			t.Fatal(err)
+		}
+		grew := dirBytes(t, filepath.Join(dir, sliceDir)) - before
+		t.Logf("delta step %d appended %d bytes of slice records", step, grew)
+		if grew > 50_000 {
+			t.Errorf("delta step %d appended %d bytes, want <= 50 KB", step, grew)
+		}
 	}
 }
 

@@ -25,12 +25,20 @@ const (
 	templateMagic = 0x476F4754 // "GoGT"
 	manifestMagic = 0x476F464D // "GoFM"
 	formatVersion = 1
-	// formatVersionDelta marks slice and manifest files of delta-encoded
-	// datasets (Options.SnapshotEvery > 0): periodic full snapshots with
-	// sparse per-timestep deltas chained between them. Readers accept both
-	// versions; writers emit version 1 unless a snapshot interval is set, so
-	// existing full-format datasets are untouched byte for byte.
+	// formatVersionDelta marks slice and manifest files of legacy
+	// delta-encoded datasets (Options.SnapshotEvery > 0): periodic full
+	// snapshots with sparse per-timestep deltas chained between them.
 	formatVersionDelta = 2
+	// formatVersionFramed is the slice and manifest format every writer
+	// emits. A slice file is magic and version, then one frame holding the
+	// header (partition, bin, pack start, member lists), then one frame per
+	// timestep. A frame is u32 length | payload | u32 CRC-32(payload), and
+	// a timestep's payload is the version-1 record (full columns) or, when
+	// SnapshotEvery > 0, the version-2 record. The file carries no record
+	// count and no whole-file CRC: the manifest's Timesteps says how many
+	// records a reader decodes, so a tail pack grows by appending a frame.
+	// Versions 1 and 2 stay readable but are never written.
+	formatVersionFramed = 3
 )
 
 // Per-timestep record kinds inside a version-2 slice file.
@@ -50,24 +58,58 @@ const maxListLen = 1 << 31
 // depend on how its stream is chunked, so neither do the bytes on disk.
 const chunkVals = 4096
 
-// writer wraps a bufio.Writer with a running CRC and sticky error.
+// writer wraps a bufio.Writer with a running CRC and sticky error. Between
+// openFrame and closeFrame its output goes to a frame buffer instead, which
+// the writer keeps and reuses.
 type writer struct {
-	w   *bufio.Writer
-	crc uint32
-	err error
-	buf [8 * chunkVals]byte // scratch every encode goes through
+	w       *bufio.Writer
+	crc     uint32
+	err     error
+	rec     []byte // the open frame: length placeholder, then payload
+	inFrame bool
+	buf     [8 * chunkVals]byte // scratch every encode goes through
 }
 
 func newWriter(w io.Writer) *writer {
 	return &writer{w: bufio.NewWriterSize(w, 1<<16)}
 }
 
+// reset points the writer at a new sink with a fresh CRC, keeping its
+// buffers.
+func (w *writer) reset(sink io.Writer) {
+	w.w.Reset(sink)
+	w.crc, w.err = 0, nil
+}
+
 func (w *writer) write(p []byte) {
 	if w.err != nil {
 		return
 	}
+	if w.inFrame {
+		w.rec = append(w.rec, p...)
+		return
+	}
 	_, w.err = w.w.Write(p)
 	w.crc = crc32.Update(w.crc, crc32.IEEETable, p)
+}
+
+// openFrame diverts the writer's output into its frame buffer.
+func (w *writer) openFrame() {
+	w.rec = append(w.rec[:0], 0, 0, 0, 0)
+	w.inFrame = true
+}
+
+// closeFrame ends the open frame and returns it as u32 length | payload |
+// u32 CRC-32(payload). The bytes are valid until the next openFrame.
+func (w *writer) closeFrame() []byte {
+	w.inFrame = false
+	n := len(w.rec) - 4
+	if uint64(n) > math.MaxUint32 {
+		w.err = fmt.Errorf("gofs: frame of %d bytes exceeds format limit", n)
+	}
+	binary.LittleEndian.PutUint32(w.rec, uint32(n))
+	w.rec = binary.LittleEndian.AppendUint32(w.rec, crc32.ChecksumIEEE(w.rec[4:]))
+	return w.rec
 }
 
 // run encodes n values of size bytes each a chunk at a time: put fills b
@@ -96,13 +138,6 @@ func (w *writer) byteVal(v byte) {
 	w.buf[0] = v
 	w.write(w.buf[:1])
 }
-func (w *writer) boolVal(v bool) {
-	if v {
-		w.byteVal(1)
-	} else {
-		w.byteVal(0)
-	}
-}
 
 func (w *writer) str(s string) {
 	if len(s) > maxStringLen {
@@ -129,6 +164,14 @@ func writeInts[T int32 | int64](w *writer, vs []T, size int) {
 	})
 }
 
+// flush writes out what is buffered.
+func (w *writer) flush() error {
+	if w.err != nil {
+		return w.err
+	}
+	return w.w.Flush()
+}
+
 // finish writes the trailing CRC (not itself checksummed) and flushes.
 func (w *writer) finish() error {
 	if w.err != nil {
@@ -145,11 +188,12 @@ func (w *writer) finish() error {
 // sticky error. The CRC folds in consumed bytes only when the window
 // refills, so a scalar read is a bounds check and a load.
 type reader struct {
-	src      io.Reader
-	buf      []byte
-	pos, end int // buf[:pos] is read but not yet in crc; buf[pos:end] is unread
-	crc      uint32
-	err      error
+	src            io.Reader
+	buf            []byte
+	from, pos, end int   // buf[from:pos] is read but not yet in crc; buf[pos:end] is unread
+	n              int64 // bytes read from src
+	crc            uint32
+	err            error
 }
 
 func newReader(r io.Reader) *reader {
@@ -166,11 +210,12 @@ func (r *reader) fail(err error) {
 // until the following call; nil once any read has failed.
 func (r *reader) next(n int) []byte {
 	if r.err == nil && r.end-r.pos < n {
-		r.crc = crc32.Update(r.crc, crc32.IEEETable, r.buf[:r.pos])
+		r.crc = crc32.Update(r.crc, crc32.IEEETable, r.buf[r.from:r.pos])
 		r.end = copy(r.buf, r.buf[r.pos:r.end])
-		r.pos = 0
+		r.from, r.pos = 0, 0
 		k, err := io.ReadAtLeast(r.src, r.buf[r.end:], n-r.end)
 		r.end += k
+		r.n += int64(k)
 		r.fail(err)
 	}
 	if r.err != nil {
@@ -276,13 +321,42 @@ func readInts[T int32 | int64](r *reader, size int) []T {
 	return out
 }
 
+// offset is the stream position of the next unread byte.
+func (r *reader) offset() int64 { return r.n - int64(r.end-r.pos) }
+
+// beginFrame reads a frame's length prefix, checks that the frame fits in
+// the first limit bytes of the stream, and restarts the CRC at its
+// payload. It returns the offset where the payload must end.
+func (r *reader) beginFrame(limit int64) int64 {
+	n := int64(r.u32())
+	if r.err != nil {
+		return 0
+	}
+	end := r.offset() + n
+	if end+4 > limit {
+		r.fail(fmt.Errorf("gofs: frame of %d bytes at offset %d overruns the %d-byte file", n, r.offset()-4, limit))
+		return 0
+	}
+	r.crc, r.from = 0, r.pos
+	return end
+}
+
+// endFrame checks that the open frame's payload ended at end and that its
+// CRC matches.
+func (r *reader) endFrame(end int64) error {
+	if r.err == nil && r.offset() != end {
+		r.fail(fmt.Errorf("gofs: frame payload ends at offset %d, its length says %d", r.offset(), end))
+	}
+	return r.verifyCRC()
+}
+
 // verifyCRC reads the trailing checksum and compares it with the running
-// CRC of everything read so far.
+// CRC of everything read since the start or the last beginFrame.
 func (r *reader) verifyCRC() error {
 	if r.err != nil {
 		return r.err
 	}
-	want := crc32.Update(r.crc, crc32.IEEETable, r.buf[:r.pos])
+	want := crc32.Update(r.crc, crc32.IEEETable, r.buf[r.from:r.pos])
 	b := r.next(4)
 	if b == nil {
 		return fmt.Errorf("gofs: reading checksum: %w", r.err)

@@ -2,6 +2,7 @@ package gofs
 
 import (
 	"encoding/binary"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -12,38 +13,48 @@ import (
 	"tsgraph/internal/partition"
 )
 
-// TestCorruptLengthBoundedAlloc: a slice file whose vertex-list prefix
-// claims 2^30 entries but holds 32 bytes fails at EOF after allocating
-// about what it read, not the 4 GB the prefix asks for.
+// TestCorruptLengthBoundedAlloc: a slice file whose length prefix claims
+// 2^30 of something it does not hold fails after allocating about what it
+// read, not the gigabytes the prefix asks for. In a legacy file the
+// prefix is the vertex list's; in a framed file it is the header frame's.
 func TestCorruptLengthBoundedAlloc(t *testing.T) {
 	c, a := makeDataset(t, 4, 2)
-	dir := t.TempDir()
-	if err := WriteDatasetOptions(dir, c, a, Options{Pack: 4, Bin: 2}); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var file []byte
-	for _, v := range []uint32{sliceMagic, formatVersion, 0, 0, 0, 4} {
-		file = binary.LittleEndian.AppendUint32(file, v)
-	}
-	file = binary.LittleEndian.AppendUint64(file, 1<<30)
-	file = append(file, make([]byte, 64-len(file))...)
-	if err := os.WriteFile(slicePath(dir, 0, 0, 0), file, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	framed := t.TempDir()
+	mustWrite(t, framed, c, a, Options{Pack: 4, Bin: 2})
+	legacy := writeFiles(t, legacyFiles(t, "road-v1"))
+	for _, tc := range []struct {
+		name, dir string
+		head      []uint32
+	}{
+		{"legacy", legacy, []uint32{sliceMagic, formatVersion, 0, 0, 0, 3}},
+		{"framed", framed, []uint32{sliceMagic, formatVersionFramed, 1 << 30}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Open(tc.dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var file []byte
+			for _, v := range tc.head {
+				file = binary.LittleEndian.AppendUint32(file, v)
+			}
+			file = binary.LittleEndian.AppendUint64(file, 1<<30)
+			file = append(file, make([]byte, 64-len(file))...)
+			if err := os.WriteFile(slicePath(tc.dir, 0, 0, 0), file, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, _, err = s.ReadPack(0, nil)
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("ReadPack accepted a slice claiming 2^30 vertices in 64 bytes")
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
-		t.Fatalf("decode allocated %d bytes before failing, want < 1 MB", grew)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _, err = s.ReadPack(0, nil)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("ReadPack accepted a slice claiming 2^30 of something in 64 bytes")
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+				t.Fatalf("decode allocated %d bytes before failing, want < 1 MB", grew)
+			}
+		})
 	}
 }
 
@@ -82,33 +93,33 @@ func fuzzSliceDataset(tb testing.TB, snapEvery int) (*graph.Collection, map[stri
 }
 
 // FuzzSliceDecode feeds the slice decoder bytes it did not write: the
-// fuzzed bytes replace the only slice file of a valid v1 (delta=false) or
-// v2 dataset, and ReadPack must return an error or exactly the stored
-// instances, never panic or hang.
+// fuzzed bytes replace the first slice file of a valid dataset — framed
+// with full records (kind 0) or delta records (1), or the legacy version-1
+// (2) or version-2 (3) fixture — and ReadPack must return an error or
+// exactly the stored instances, never panic or hang.
 func FuzzSliceDecode(f *testing.F) {
 	slice := filepath.Join(sliceDir, "p0_b0_t0.slice")
-	c1, files1 := fuzzSliceDataset(f, 0)
-	c2, files2 := fuzzSliceDataset(f, 2)
-	f.Add(false, files1[slice])
-	f.Add(true, files2[slice])
-	f.Fuzz(func(t *testing.T, delta bool, data []byte) {
-		c, files := c1, files1
-		if delta {
-			c, files = c2, files2
-		}
-		dir := t.TempDir()
-		if err := os.Mkdir(filepath.Join(dir, sliceDir), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for rel, content := range files {
-			if rel == slice {
-				content = data
-			}
-			if err := os.WriteFile(filepath.Join(dir, rel), content, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s, err := Open(dir)
+	type base struct {
+		c     *graph.Collection
+		files map[string][]byte
+	}
+	var bases []base
+	for _, snapEvery := range []int{0, 2} {
+		c, files := fuzzSliceDataset(f, snapEvery)
+		bases = append(bases, base{c, files})
+	}
+	legacy, _ := legacyRoad(f, 7)
+	for _, name := range []string{"road-v1", "road-v2"} {
+		bases = append(bases, base{legacy, legacyFiles(f, name)})
+	}
+	for kind, b := range bases {
+		f.Add(uint8(kind), b.files[slice])
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
+		b := bases[int(kind)%len(bases)]
+		files := maps.Clone(b.files)
+		files[slice] = data
+		s, err := Open(writeFiles(t, files))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,13 +127,13 @@ func FuzzSliceDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		got := graph.NewCollection(s.Template(), c.TimeOf(0), 60)
+		got := graph.NewCollection(s.Template(), b.c.T0, b.c.Delta)
 		for _, ins := range instances {
 			if err := got.Append(ins); err != nil {
 				t.Fatal(err)
 			}
 		}
-		collectionsEqual(t, c, got)
+		collectionsEqual(t, prefixOf(t, b.c, len(instances)), got)
 	})
 }
 

@@ -217,27 +217,9 @@ func TestDeltaSequentialVsRandomAccess(t *testing.T) {
 	}
 }
 
-func TestDeltaCompressedRoundTrip(t *testing.T) {
-	c, a := makeDataset(t, 10, 2)
-	dir := t.TempDir()
-	if err := WriteDatasetOptions(dir, c, a, Options{Pack: 4, Bin: 2, Compress: true, SnapshotEvery: 4}); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	collectionsEqual(t, c, got)
-}
-
-// TestMixedFormatLoad is the compatibility smoke: one reader binary loads a
-// version-1 full dataset and a version-2 delta dataset of the same
-// collection and sees identical instances; the v1 store just reports no
-// change summaries.
+// TestMixedFormatLoad: one reader loads a full-record and a delta-record
+// dataset of the same collection and sees identical instances; the full
+// store just reports no change summaries.
 func TestMixedFormatLoad(t *testing.T) {
 	c, a := makeDataset(t, 10, 2)
 	fullDir, deltaDir := writeBoth(t, c, a, 4, 2, 2)

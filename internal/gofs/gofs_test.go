@@ -365,69 +365,3 @@ func TestTruncatedManifestDetected(t *testing.T) {
 		t.Fatal("truncated manifest opened without error")
 	}
 }
-
-func TestCompressedRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	c, a := makeDataset(t, 10, 2)
-	if err := WriteDatasetOptions(dir, c, a, Options{Pack: 5, Bin: 3, Compress: true}); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Manifest().Compress {
-		t.Fatal("compress flag lost")
-	}
-	got, err := s.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	collectionsEqual(t, c, got)
-}
-
-func TestCompressedCorruptionDetected(t *testing.T) {
-	dir := t.TempDir()
-	c, a := makeDataset(t, 4, 2)
-	if err := WriteDatasetOptions(dir, c, a, Options{Pack: 2, Bin: 2, Compress: true}); err != nil {
-		t.Fatal(err)
-	}
-	slices, _ := filepath.Glob(filepath.Join(dir, "slices", "*.slice"))
-	data, _ := os.ReadFile(slices[0])
-	data[len(data)/2] ^= 0xFF
-	os.WriteFile(slices[0], data, 0o644)
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.LoadAll(); err == nil {
-		t.Fatal("corrupted compressed slice loaded without error")
-	}
-}
-
-// TestCompressionShrinksSparseData: tweet-style sparse columns compress
-// substantially; the manifest records which mode the dataset uses.
-func TestCompressionShrinksSparseData(t *testing.T) {
-	c, a := makeDataset(t, 10, 2)
-	size := func(compress bool) int64 {
-		dir := t.TempDir()
-		if err := WriteDatasetOptions(dir, c, a, Options{Pack: 10, Bin: 5, Compress: compress}); err != nil {
-			t.Fatal(err)
-		}
-		var total int64
-		slices, _ := filepath.Glob(filepath.Join(dir, "slices", "*.slice"))
-		for _, p := range slices {
-			fi, err := os.Stat(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += fi.Size()
-		}
-		return total
-	}
-	raw := size(false)
-	gz := size(true)
-	if gz >= raw {
-		t.Errorf("compression did not shrink sparse dataset: %d -> %d bytes", raw, gz)
-	}
-}

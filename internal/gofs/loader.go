@@ -1,9 +1,7 @@
 package gofs
 
 import (
-	"compress/gzip"
 	"fmt"
-	"io"
 	"os"
 	"slices"
 	"sync/atomic"
@@ -60,7 +58,7 @@ func (s *Store) Template() *graph.Template { return s.template }
 func (s *Store) Dir() string { return s.dir }
 
 // m returns the current manifest generation. Callers capture it once per
-// operation so every derived decision (pack length, file name, compression)
+// operation so every derived decision (pack length, file name, format)
 // comes from one consistent generation.
 func (s *Store) m() *Manifest { return s.manifest.Load() }
 
@@ -220,9 +218,9 @@ func (s *Store) ReadPackDeltas(ps int, inj *chaos.Injector) (instances []*graph.
 // entirely (no read, no decode), leaving those partitions' columns at zero
 // values in the returned instances. This is how a shard rank loads only
 // its owned partitions — the dominant cost of a pack load (slice I/O,
-// decompression, attribute decode) scales with the partitions actually
-// wanted. The returned deltas likewise summarize only the wanted
-// partitions' changes. nil want loads everything.
+// attribute decode) scales with the partitions actually wanted. The
+// returned deltas likewise summarize only the wanted partitions' changes.
+// nil want loads everything.
 func (s *Store) ReadPackDeltasParts(ps int, inj *chaos.Injector, want []bool) (instances []*graph.Instance, deltas []*graph.Delta, sliceReads int, err error) {
 	if err := inj.Hit(chaos.SiteGoFSLoad); err != nil {
 		return nil, nil, 0, fmt.Errorf("gofs: loading pack %d: %w", ps, err)
@@ -285,30 +283,34 @@ func (s *Store) readSlice(path string, m *Manifest, p, b, ps, packLen int, insta
 		return err
 	}
 	defer f.Close()
-	// Count file bytes below any decompression so bytes-read reflects disk
-	// traffic, not the inflated payload.
-	var src io.Reader = &countingReader{r: f, t: s.tel}
-	if m.Compress {
-		gz, err := gzip.NewReader(src)
-		if err != nil {
-			return fmt.Errorf("gofs: %s: %w", path, err)
-		}
-		defer gz.Close()
-		src = gz
+	fi, err := f.Stat()
+	if err != nil {
+		return err
 	}
-	r := newReader(src)
+	size := fi.Size()
+	r := newReader(&countingReader{r: f, t: s.tel})
 	if m := r.u32(); r.err == nil && m != sliceMagic {
 		return fmt.Errorf("gofs: %s: bad magic %08x", path, m)
 	}
-	v := r.u32()
-	if r.err == nil && v != formatVersion && v != formatVersionDelta {
-		return fmt.Errorf("gofs: %s: unsupported version %d", path, v)
+	v := int(r.u32())
+	framed := v == formatVersionFramed
+	if r.err == nil {
+		if framed != (m.version == formatVersionFramed) || v != formatVersion && v != formatVersionDelta && !framed {
+			return fmt.Errorf("gofs: %s: version-%d slice in a version-%d dataset", path, v, m.version)
+		}
+		if deltas != nil && v == formatVersion {
+			// The manifest promised change summaries; a full-format slice
+			// would silently present its bin as never changing to the
+			// incremental scheduler.
+			return fmt.Errorf("gofs: %s: version-%d slice in a delta-encoded dataset", path, v)
+		}
 	}
-	if r.err == nil && deltas != nil && v != formatVersionDelta {
-		// The manifest promised change summaries; a full-format slice would
-		// silently present its bin as never changing to the incremental
-		// scheduler.
-		return fmt.Errorf("gofs: %s: version-%d slice in a delta-encoded dataset", path, v)
+	// A framed file's records are version-2 records exactly when the
+	// dataset is delta-encoded.
+	deltaRecs := v == formatVersionDelta || framed && m.SnapshotEvery > 0
+	var end int64
+	if framed {
+		end = r.beginFrame(size)
 	}
 	if got := int(r.u32()); r.err == nil && got != p {
 		return fmt.Errorf("gofs: %s: partition %d, want %d", path, got, p)
@@ -319,11 +321,18 @@ func (s *Store) readSlice(path string, m *Manifest, p, b, ps, packLen int, insta
 	if got := int(r.u32()); r.err == nil && got != ps {
 		return fmt.Errorf("gofs: %s: pack start %d, want %d", path, got, ps)
 	}
-	if got := int(r.u32()); r.err == nil && got != packLen {
-		return fmt.Errorf("gofs: %s: pack length %d, want %d", path, got, packLen)
+	if !framed {
+		if got := int(r.u32()); r.err == nil && got != packLen {
+			return fmt.Errorf("gofs: %s: pack length %d, want %d", path, got, packLen)
+		}
 	}
 	verts := r.i32s()
 	edges := r.i32s()
+	if framed {
+		if err := r.endFrame(end); err != nil {
+			return fmt.Errorf("gofs: %s: header: %w", path, err)
+		}
+	}
 	t := s.template
 	for _, v := range verts {
 		if int(v) < 0 || int(v) >= t.NumVertices() {
@@ -336,75 +345,92 @@ func (s *Store) readSlice(path string, m *Manifest, p, b, ps, packLen int, insta
 		}
 	}
 	for i := 0; i < packLen; i++ {
-		ins := instances[i]
-		fileTime := r.i64()
-		if r.err == nil && fileTime != ins.Time {
-			return fmt.Errorf("gofs: %s: step %d time %d, want %d", path, ps+i, fileTime, ins.Time)
+		if framed {
+			end = r.beginFrame(size)
 		}
-		if v == formatVersion {
-			for c := range ins.VertexCols {
-				readColumnValues(r, &ins.VertexCols[c], verts)
-			}
-			for c := range ins.EdgeCols {
-				readColumnValues(r, &ins.EdgeCols[c], edges)
-			}
-			if r.err != nil {
-				return fmt.Errorf("gofs: %s: %w", path, r.err)
-			}
-			continue
+		if err := readRecord(r, t, instances, deltas, i, verts, edges, deltaRecs); err != nil {
+			return fmt.Errorf("gofs: %s: step %d: %w", path, ps+i, err)
 		}
-		kind := r.byteVal()
-		chV := r.i32s()
-		chE := r.i32s()
-		if r.err != nil {
-			return fmt.Errorf("gofs: %s: %w", path, r.err)
-		}
-		for _, x := range chV {
-			if int(x) < 0 || int(x) >= t.NumVertices() {
-				return fmt.Errorf("gofs: %s: changed vertex index %d out of range", path, x)
+		if framed {
+			if err := r.endFrame(end); err != nil {
+				return fmt.Errorf("gofs: %s: step %d: %w", path, ps+i, err)
 			}
-		}
-		for _, x := range chE {
-			if int(x) < 0 || int(x) >= t.NumEdges() {
-				return fmt.Errorf("gofs: %s: changed edge slot %d out of range", path, x)
-			}
-		}
-		switch kind {
-		case recSnapshot:
-			for c := range ins.VertexCols {
-				readColumnValues(r, &ins.VertexCols[c], verts)
-			}
-			for c := range ins.EdgeCols {
-				readColumnValues(r, &ins.EdgeCols[c], edges)
-			}
-		case recDelta:
-			if i == 0 {
-				return fmt.Errorf("gofs: %s: delta record at pack start %d", path, ps)
-			}
-			// Carry the previous timestep's values forward for this bin,
-			// then patch the changed subset.
-			prev := instances[i-1]
-			for c := range ins.VertexCols {
-				copyColumnValues(&prev.VertexCols[c], &ins.VertexCols[c], verts)
-				readColumnValues(r, &ins.VertexCols[c], chV)
-			}
-			for c := range ins.EdgeCols {
-				copyColumnValues(&prev.EdgeCols[c], &ins.EdgeCols[c], edges)
-				readColumnValues(r, &ins.EdgeCols[c], chE)
-			}
-		default:
-			return fmt.Errorf("gofs: %s: unknown record kind %d at step %d", path, kind, ps+i)
-		}
-		if r.err != nil {
-			return fmt.Errorf("gofs: %s: %w", path, r.err)
-		}
-		if deltas != nil && deltas[i] != nil {
-			deltas[i].Verts = append(deltas[i].Verts, chV...)
-			deltas[i].Edges = append(deltas[i].Edges, chE...)
 		}
 	}
-	if err := r.verifyCRC(); err != nil {
-		return fmt.Errorf("gofs: %s: %w", path, err)
+	if !framed {
+		if err := r.verifyCRC(); err != nil {
+			return fmt.Errorf("gofs: %s: %w", path, err)
+		}
+	}
+	return nil
+}
+
+// readRecord decodes one bin's record of timestep i of a pack into
+// instances[i]: full columns, or with deltaRecs a snapshot or a delta
+// patched over instances[i-1], whose change summary it appends to
+// deltas[i].
+func readRecord(r *reader, t *graph.Template, instances []*graph.Instance, deltas []*graph.Delta, i int, verts, edges []int32, deltaRecs bool) error {
+	ins := instances[i]
+	if fileTime := r.i64(); r.err == nil && fileTime != ins.Time {
+		return fmt.Errorf("time %d, want %d", fileTime, ins.Time)
+	}
+	if !deltaRecs {
+		for c := range ins.VertexCols {
+			readColumnValues(r, &ins.VertexCols[c], verts)
+		}
+		for c := range ins.EdgeCols {
+			readColumnValues(r, &ins.EdgeCols[c], edges)
+		}
+		return r.err
+	}
+	kind := r.byteVal()
+	chV := r.i32s()
+	chE := r.i32s()
+	if r.err != nil {
+		return r.err
+	}
+	for _, x := range chV {
+		if int(x) < 0 || int(x) >= t.NumVertices() {
+			return fmt.Errorf("changed vertex index %d out of range", x)
+		}
+	}
+	for _, x := range chE {
+		if int(x) < 0 || int(x) >= t.NumEdges() {
+			return fmt.Errorf("changed edge slot %d out of range", x)
+		}
+	}
+	switch kind {
+	case recSnapshot:
+		for c := range ins.VertexCols {
+			readColumnValues(r, &ins.VertexCols[c], verts)
+		}
+		for c := range ins.EdgeCols {
+			readColumnValues(r, &ins.EdgeCols[c], edges)
+		}
+	case recDelta:
+		if i == 0 {
+			return fmt.Errorf("delta record at pack start")
+		}
+		// Carry the previous timestep's values forward for this bin, then
+		// patch the changed subset.
+		prev := instances[i-1]
+		for c := range ins.VertexCols {
+			copyColumnValues(&prev.VertexCols[c], &ins.VertexCols[c], verts)
+			readColumnValues(r, &ins.VertexCols[c], chV)
+		}
+		for c := range ins.EdgeCols {
+			copyColumnValues(&prev.EdgeCols[c], &ins.EdgeCols[c], edges)
+			readColumnValues(r, &ins.EdgeCols[c], chE)
+		}
+	default:
+		return fmt.Errorf("unknown record kind %d", kind)
+	}
+	if r.err != nil {
+		return r.err
+	}
+	if deltas != nil && deltas[i] != nil {
+		deltas[i].Verts = append(deltas[i].Verts, chV...)
+		deltas[i].Edges = append(deltas[i].Edges, chE...)
 	}
 	return nil
 }

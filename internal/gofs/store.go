@@ -1,7 +1,7 @@
 package gofs
 
 import (
-	"compress/gzip"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -36,16 +36,18 @@ type Manifest struct {
 	Timesteps int
 	Pack      int
 	Bin       int
-	// Compress marks gzip-compressed slice payloads.
-	Compress bool
 	// BinsPerPartition[p] is the number of slice bins partition p was
 	// split into.
 	BinsPerPartition []int32
-	// SnapshotEvery > 0 marks a delta-encoded dataset (format version 2):
-	// timesteps divisible by it (or by Pack — packs stay self-contained) are
-	// stored as full snapshots, the rest as deltas against the previous
-	// timestep. 0 is the classic full-instance layout.
+	// SnapshotEvery > 0 marks a delta-encoded dataset: timesteps divisible
+	// by it (or by Pack — packs stay self-contained) are stored as full
+	// snapshots, the rest as deltas against the previous timestep. 0 is the
+	// classic full-instance layout.
 	SnapshotEvery int
+	// version is the format the dataset's files are in: formatVersionFramed
+	// for everything this package writes, 1 or 2 for a legacy dataset,
+	// which is readable but cannot be appended to.
+	version int
 }
 
 // snapshotStep reports whether timestep s of a delta-encoded dataset is
@@ -84,15 +86,10 @@ type Options struct {
 	Pack int
 	// Bin is the subgraph binning factor (0 = DefaultBin).
 	Bin int
-	// Compress gzip-compresses slice payloads — the storage optimization
-	// the paper's related-work section borrows from time-evolving graph
-	// systems ("enables storing compressed graphs"). Tweet-style sparse
-	// columns compress well; dense random floats do not.
-	Compress bool
 	// SnapshotEvery, when > 0, delta-encodes the dataset: full snapshots at
 	// that interval (and at every pack start), sparse deltas in between —
 	// DeltaGraph-style snapshot chains. Low-churn collections shrink by the
-	// churn factor; 0 keeps the byte-identical full-instance layout.
+	// churn factor; 0 keeps the full-instance layout.
 	SnapshotEvery int
 }
 
@@ -119,73 +116,88 @@ func WriteDatasetOptions(dir string, c *graph.Collection, a *partition.Assignmen
 	if err := writeTemplateFile(filepath.Join(dir, templateFile), t); err != nil {
 		return err
 	}
-	var plan *deltaPlan
-	if o.SnapshotEvery > 0 {
-		plan = newDeltaPlan(c, o.SnapshotEvery)
-	}
-
-	// Bin layout: consecutive subgraphs of each partition grouped ≤bin at a
-	// time; each bin's vertex list is the concatenation of its subgraphs'
-	// template vertex indices, and its edge list is the template slots of
-	// all out-edges of those vertices.
-	binsPer := make([]int32, a.K)
-	for p, pd := range parts {
-		nBins := (len(pd.Subgraphs) + bin - 1) / bin
-		if nBins == 0 {
-			nBins = 1 // empty partition still gets one (empty) bin
-		}
-		binsPer[p] = int32(nBins)
-		for b := 0; b < nBins; b++ {
-			verts, edges := binMembers(t, pd, b, bin)
-			for packStart := 0; packStart < c.NumInstances(); packStart += pack {
-				packLen := pack
-				if packStart+packLen > c.NumInstances() {
-					packLen = c.NumInstances() - packStart
-				}
-				path := slicePath(dir, p, b, packStart)
-				if err := writeSliceFile(path, c, p, b, packStart, packLen, verts, edges, o.Compress, plan); err != nil {
-					return err
-				}
-			}
-		}
-	}
-
+	bins, binsPer := binLayout(t, parts, bin)
 	m := Manifest{
 		K: a.K, Parts: a.Parts,
 		T0: c.T0, Delta: c.Delta,
 		Timesteps: c.NumInstances(),
 		Pack:      pack, Bin: bin,
-		Compress:         o.Compress,
 		BinsPerPartition: binsPer,
 		SnapshotEvery:    o.SnapshotEvery,
+		version:          formatVersionFramed,
+	}
+	// Per timestep, what changed against its predecessor (nil at the
+	// first timestep and for full-format datasets).
+	n := c.NumInstances()
+	vDirty, eDirty := make([][]bool, n), make([][]bool, n)
+	if o.SnapshotEvery > 0 {
+		for s := 1; s < n; s++ {
+			vDirty[s] = make([]bool, t.NumVertices())
+			eDirty[s] = make([]bool, t.NumEdges())
+			graph.MarkChanged(c.Instance(s-1), c.Instance(s), vDirty[s], eDirty[s])
+		}
+	}
+
+	w := newWriter(nil)
+	for p := range bins {
+		for b := range bins[p] {
+			bi := &bins[p][b]
+			for ps := 0; ps < n; ps += pack {
+				path := slicePath(dir, p, b, ps)
+				f, err := os.Create(path)
+				if err != nil {
+					return err
+				}
+				w.reset(f)
+				w.write(sliceHeader(w, p, b, ps, bi))
+				for s := ps; s < min(ps+pack, n); s++ {
+					w.write(encodeRecord(w, &m, c.Instance(s), bi, vDirty[s], eDirty[s]))
+				}
+				err = w.flush()
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+				if err != nil {
+					return fmt.Errorf("gofs: writing %s: %w", path, err)
+				}
+			}
+		}
 	}
 	return writeManifestFile(filepath.Join(dir, manifestFile), &m)
 }
 
-// deltaPlan precomputes, for a delta-encoded write, which template vertices
-// and edge slots changed at each timestep relative to its predecessor.
-type deltaPlan struct {
-	every  int
-	vDirty [][]bool // [timestep][template vertex index]
-	eDirty [][]bool // [timestep][template edge slot]
+// binInfo is one slice bin's members: template vertex indices and edge
+// slots.
+type binInfo struct {
+	verts, edges []int32
 }
 
-func newDeltaPlan(c *graph.Collection, every int) *deltaPlan {
-	t := c.Template
-	n := c.NumInstances()
-	p := &deltaPlan{every: every, vDirty: make([][]bool, n), eDirty: make([][]bool, n)}
-	for s := 1; s < n; s++ {
-		p.vDirty[s] = make([]bool, t.NumVertices())
-		p.eDirty[s] = make([]bool, t.NumEdges())
-		graph.MarkChanged(c.Instance(s-1), c.Instance(s), p.vDirty[s], p.eDirty[s])
+// binLayout groups each partition's consecutive subgraphs ≤bin at a time.
+// A bin's vertex list is the concatenation of its subgraphs' template
+// vertex indices, and its edge list is the template slots of all
+// out-edges of those vertices. An empty partition still gets one (empty)
+// bin.
+func binLayout(t *graph.Template, parts []*subgraph.PartitionData, bin int) ([][]binInfo, []int32) {
+	bins := make([][]binInfo, len(parts))
+	binsPer := make([]int32, len(parts))
+	for p, pd := range parts {
+		nBins := max((len(pd.Subgraphs)+bin-1)/bin, 1)
+		binsPer[p] = int32(nBins)
+		bins[p] = make([]binInfo, nBins)
+		for b := range bins[p] {
+			for s := b * bin; s < min((b+1)*bin, len(pd.Subgraphs)); s++ {
+				for _, lv := range pd.Subgraphs[s].Verts {
+					g := pd.GlobalIdx[lv]
+					bins[p][b].verts = append(bins[p][b].verts, g)
+					elo, ehi := t.OutEdges(int(g))
+					for e := elo; e < ehi; e++ {
+						bins[p][b].edges = append(bins[p][b].edges, int32(e))
+					}
+				}
+			}
+		}
 	}
-	return p
-}
-
-// snapshot reports whether timestep s is written as a full snapshot of the
-// pack starting at packStart.
-func (p *deltaPlan) snapshot(s, packStart int) bool {
-	return s == packStart || s%p.every == 0
+	return bins, binsPer
 }
 
 // changedIn filters a bin's member indices down to those dirty at one
@@ -203,48 +215,73 @@ func changedIn(members []int32, dirty []bool) []int32 {
 	return out
 }
 
-// binMembers returns the template vertex indices and edge slots of bin b of
-// a partition.
-func binMembers(t *graph.Template, pd *subgraph.PartitionData, b, bin int) (verts, edges []int32) {
-	lo := b * bin
-	hi := lo + bin
-	if hi > len(pd.Subgraphs) {
-		hi = len(pd.Subgraphs)
-	}
-	for s := lo; s < hi; s++ {
-		for _, lv := range pd.Subgraphs[s].Verts {
-			g := pd.GlobalIdx[lv]
-			verts = append(verts, g)
-			elo, ehi := t.OutEdges(int(g))
-			for e := elo; e < ehi; e++ {
-				edges = append(edges, int32(e))
-			}
+// sliceHeader returns the first bytes of a slice file: magic, version and
+// the framed header section. Valid until the writer's next frame.
+func sliceHeader(w *writer, p, b, ps int, bi *binInfo) []byte {
+	w.openFrame()
+	w.u32(uint32(p))
+	w.u32(uint32(b))
+	w.u32(uint32(ps))
+	w.i32s(bi.verts)
+	w.i32s(bi.edges)
+	frame := w.closeFrame()
+	hdr := binary.LittleEndian.AppendUint32(nil, sliceMagic)
+	hdr = binary.LittleEndian.AppendUint32(hdr, formatVersionFramed)
+	return append(hdr, frame...)
+}
+
+// encodeRecord returns one bin's record of one timestep as a frame, valid
+// until the writer's next frame. It is the single source of truth for
+// record bytes: the offline writer and the Appender both call it, which is
+// what makes "a live-grown pack equals an offline one" a property of the
+// format rather than of any one writer. vd and ed mark what changed since
+// the previous timestep (nil at the first one).
+func encodeRecord(w *writer, m *Manifest, ins *graph.Instance, bi *binInfo, vd, ed []bool) []byte {
+	w.openFrame()
+	w.i64(ins.Time)
+	vIdx, eIdx := bi.verts, bi.edges
+	if m.SnapshotEvery > 0 {
+		// A delta-encoded record carries the bin's changed-index summary
+		// (empty at the collection's first timestep, where "changed" is
+		// undefined) so the engine can skip clean subgraphs even across
+		// snapshot boundaries; a snapshot then stores full columns, a
+		// delta only the changed values.
+		chV, chE := changedIn(bi.verts, vd), changedIn(bi.edges, ed)
+		if m.snapshotStep(ins.Timestep) {
+			w.byteVal(recSnapshot)
+		} else {
+			w.byteVal(recDelta)
+			vIdx, eIdx = chV, chE
 		}
+		w.i32s(chV)
+		w.i32s(chE)
 	}
-	return verts, edges
+	for c := range ins.VertexCols {
+		writeColumnValues(w, &ins.VertexCols[c], vIdx)
+	}
+	for c := range ins.EdgeCols {
+		writeColumnValues(w, &ins.EdgeCols[c], eIdx)
+	}
+	return w.closeFrame()
 }
 
 func slicePath(dir string, p, b, packStart int) string {
 	return filepath.Join(dir, sliceDir, fmt.Sprintf("p%d_b%d_t%d.slice", p, b, packStart))
 }
 
-// partSlicePath names a growing tail pack holding packLen < Pack timesteps.
-// The length lives in the name so every manifest generation maps to a
-// distinct, immutable set of files: publishing timestep T+1 writes new
-// part files while readers holding the previous manifest keep reading the
-// old ones. Once a pack completes, the plain slicePath name takes over and
-// the part files become garbage for TrimSuperseded.
+// partSlicePath names a legacy (version 1 or 2) tail pack that an older
+// Appender re-wrote under a length-suffixed name on every append. Such
+// datasets are read-only; no writer creates these names any more.
 func partSlicePath(dir string, p, b, packStart, packLen int) string {
 	return filepath.Join(dir, sliceDir, fmt.Sprintf("p%d_b%d_t%d.part%d.slice", p, b, packStart, packLen))
 }
 
 // slicePathFor resolves the on-disk file for a pack as described by a
-// manifest generation. Complete packs (and offline-written partial final
-// packs) live at the plain name; a live-appended tail pack lives at the
-// length-suffixed part name. The part name is preferred when it exists so
-// an appended dataset's tail wins over a stale plain file.
+// manifest generation. A framed dataset keeps every pack at its plain
+// name. A legacy dataset's live-appended tail pack lives at the part name,
+// which wins over a stale plain file when it exists.
 func slicePathFor(dir string, m *Manifest, p, b, packStart, packLen int) string {
-	if packLen < m.Pack {
+	if m.version < formatVersionFramed && packLen < m.Pack {
 		if part := partSlicePath(dir, p, b, packStart, packLen); fileExists(part) {
 			return part
 		}
@@ -255,166 +292,6 @@ func slicePathFor(dir string, m *Manifest, p, b, packStart, packLen int) string 
 func fileExists(path string) bool {
 	_, err := os.Stat(path)
 	return err == nil
-}
-
-// slicePayload is the fully resolved content of one slice file, shared by
-// the offline writer (WriteDataset) and the live Appender so both produce
-// byte-identical encodings of the same logical pack.
-type slicePayload struct {
-	p, b      int
-	packStart int
-	verts     []int32
-	edges     []int32
-	instances []*graph.Instance // len = packLen
-	delta     bool              // format version 2
-	// Per step, version 2 only: snapshot-vs-delta kind and the bin's
-	// changed-member lists (nil at the collection's first timestep).
-	snaps    []bool
-	chV, chE [][]int32
-}
-
-func writeSliceFile(path string, c *graph.Collection, p, b, packStart, packLen int, verts, edges []int32, compress bool, plan *deltaPlan) error {
-	sp := &slicePayload{p: p, b: b, packStart: packStart, verts: verts, edges: edges}
-	for s := packStart; s < packStart+packLen; s++ {
-		sp.instances = append(sp.instances, c.Instance(s))
-	}
-	if plan != nil {
-		sp.delta = true
-		for s := packStart; s < packStart+packLen; s++ {
-			sp.snaps = append(sp.snaps, plan.snapshot(s, packStart))
-			sp.chV = append(sp.chV, changedIn(verts, plan.vDirty[s]))
-			sp.chE = append(sp.chE, changedIn(edges, plan.eDirty[s]))
-		}
-	}
-	return writeSliceData(path, sp, compress)
-}
-
-// encodeSlice writes the framed slice encoding to a sink. The byte layout
-// is the single source of truth for slice files: every writer path funnels
-// through here, which is what makes "WAL replay yields byte-identical
-// packs" a property of the format rather than of any one writer.
-func encodeSlice(sink io.Writer, sp *slicePayload) error {
-	w := newWriter(sink)
-	w.u32(sliceMagic)
-	if sp.delta {
-		w.u32(formatVersionDelta)
-	} else {
-		w.u32(formatVersion)
-	}
-	w.u32(uint32(sp.p))
-	w.u32(uint32(sp.b))
-	w.u32(uint32(sp.packStart))
-	w.u32(uint32(len(sp.instances)))
-	w.i32s(sp.verts)
-	w.i32s(sp.edges)
-	for i, ins := range sp.instances {
-		w.i64(ins.Time)
-		if !sp.delta {
-			for c := range ins.VertexCols {
-				writeColumnValues(w, &ins.VertexCols[c], sp.verts)
-			}
-			for c := range ins.EdgeCols {
-				writeColumnValues(w, &ins.EdgeCols[c], sp.edges)
-			}
-			continue
-		}
-		// Version 2: every record carries the bin's changed-index summary
-		// (empty at the collection's first timestep, where "changed" is
-		// undefined) so the engine can skip clean subgraphs even across
-		// snapshot boundaries; snapshots then store full columns, deltas
-		// only the changed values.
-		if sp.snaps[i] {
-			w.byteVal(recSnapshot)
-			w.i32s(sp.chV[i])
-			w.i32s(sp.chE[i])
-			for c := range ins.VertexCols {
-				writeColumnValues(w, &ins.VertexCols[c], sp.verts)
-			}
-			for c := range ins.EdgeCols {
-				writeColumnValues(w, &ins.EdgeCols[c], sp.edges)
-			}
-		} else {
-			w.byteVal(recDelta)
-			w.i32s(sp.chV[i])
-			w.i32s(sp.chE[i])
-			for c := range ins.VertexCols {
-				writeColumnValues(w, &ins.VertexCols[c], sp.chV[i])
-			}
-			for c := range ins.EdgeCols {
-				writeColumnValues(w, &ins.EdgeCols[c], sp.chE[i])
-			}
-		}
-	}
-	return w.finish()
-}
-
-// writeSliceData creates path directly (non-atomic; offline writes into a
-// fresh dataset directory need no stronger guarantee).
-func writeSliceData(path string, sp *slicePayload, compress bool) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var sink io.Writer = f
-	var gz *gzip.Writer
-	if compress {
-		gz = gzip.NewWriter(f)
-		sink = gz
-	}
-	if err := encodeSlice(sink, sp); err != nil {
-		return fmt.Errorf("gofs: writing %s: %w", path, err)
-	}
-	if gz != nil {
-		if err := gz.Close(); err != nil {
-			return fmt.Errorf("gofs: writing %s: %w", path, err)
-		}
-	}
-	return f.Close()
-}
-
-// writeSliceAtomic writes the slice to a temp file in the slices directory,
-// fsyncs, and renames it into place — the append path's publication step,
-// so a crash mid-append never leaves a readable-but-partial slice where a
-// reader resolving the previous generation could trip over it.
-func writeSliceAtomic(path string, sp *slicePayload, compress bool) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".slice_*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("gofs: writing %s: %w", path, err)
-	}
-	var sink io.Writer = tmp
-	var gz *gzip.Writer
-	if compress {
-		gz = gzip.NewWriter(tmp)
-		sink = gz
-	}
-	if err := encodeSlice(sink, sp); err != nil {
-		return fail(err)
-	}
-	if gz != nil {
-		if err := gz.Close(); err != nil {
-			return fail(err)
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("gofs: writing %s: %w", path, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("gofs: publishing %s: %w", path, err)
-	}
-	return nil
 }
 
 func writeTemplateFile(path string, t *graph.Template) error {
@@ -485,11 +362,7 @@ func readTemplateFile(path string) (*graph.Template, error) {
 func encodeManifest(sink io.Writer, m *Manifest) error {
 	w := newWriter(sink)
 	w.u32(manifestMagic)
-	if m.SnapshotEvery > 0 {
-		w.u32(formatVersionDelta)
-	} else {
-		w.u32(formatVersion)
-	}
+	w.u32(formatVersionFramed)
 	w.u32(uint32(m.K))
 	w.i32s(m.Parts)
 	w.i64(m.T0)
@@ -497,11 +370,8 @@ func encodeManifest(sink io.Writer, m *Manifest) error {
 	w.u32(uint32(m.Timesteps))
 	w.u32(uint32(m.Pack))
 	w.u32(uint32(m.Bin))
-	w.boolVal(m.Compress)
 	w.i32s(m.BinsPerPartition)
-	if m.SnapshotEvery > 0 {
-		w.u32(uint32(m.SnapshotEvery))
-	}
+	w.u32(uint32(m.SnapshotEvery))
 	return w.finish()
 }
 
@@ -559,11 +429,11 @@ func readManifestFile(path string) (*Manifest, error) {
 	if m := r.u32(); r.err == nil && m != manifestMagic {
 		return nil, fmt.Errorf("gofs: %s: bad magic %08x", path, m)
 	}
-	v := r.u32()
-	if r.err == nil && v != formatVersion && v != formatVersionDelta {
+	v := int(r.u32())
+	if r.err == nil && v != formatVersion && v != formatVersionDelta && v != formatVersionFramed {
 		return nil, fmt.Errorf("gofs: %s: unsupported version %d", path, v)
 	}
-	m := &Manifest{}
+	m := &Manifest{version: v}
 	m.K = int(r.u32())
 	m.Parts = r.i32s()
 	m.T0 = r.i64()
@@ -571,13 +441,17 @@ func readManifestFile(path string) (*Manifest, error) {
 	m.Timesteps = int(r.u32())
 	m.Pack = int(r.u32())
 	m.Bin = int(r.u32())
-	m.Compress = r.boolVal()
+	// Legacy manifests carry a gzip flag here.
+	gzipped := v != formatVersionFramed && r.boolVal()
 	m.BinsPerPartition = r.i32s()
-	if v == formatVersionDelta {
+	if v != formatVersion {
 		m.SnapshotEvery = int(r.u32())
 	}
 	if err := r.verifyCRC(); err != nil {
 		return nil, fmt.Errorf("gofs: %s: %w", path, err)
+	}
+	if gzipped {
+		return nil, fmt.Errorf("gofs: %s: dataset has gzip-compressed slices, which format version 3 removed because a gzip stream cannot grow in place; rewrite it uncompressed with an older tspart -rewrite", path)
 	}
 	return m, nil
 }

@@ -92,7 +92,7 @@ func (t *Telemetry) ObserveSliceRead(d time.Duration) {
 	t.sliceRead.Observe(d)
 }
 
-// AddBytesRead accumulates bytes read off disk (pre-decompression).
+// AddBytesRead accumulates slice-file bytes read off disk.
 func (t *Telemetry) AddBytesRead(n int64) {
 	if t == nil {
 		return
@@ -115,7 +115,7 @@ func (t *Telemetry) CollectObs(emit func(obs.Sample)) {
 	t.sliceRead.Emit(emit, "tsgofs_slice_read_seconds",
 		"Wall time reading and decoding one slice file.", nil)
 	emit(obs.Sample{Name: "tsgofs_bytes_read_total",
-		Help: "Bytes read from slice files (before decompression).",
+		Help: "Bytes read from slice files.",
 		Kind: "counter", Value: float64(t.bytesRead.Load())})
 	emit(obs.Sample{Name: "tsgofs_delta_chain_depth",
 		Help: "Longest run of delta records a decode patches on top of a snapshot (0 = full-format).",

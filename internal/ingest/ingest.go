@@ -13,9 +13,8 @@ import (
 
 // Options configures an Ingester.
 type Options struct {
-	// RetainBytes bounds the superseded tail-pack generations kept on disk
-	// as a grace window for slow readers (<= 0 keeps none beyond the two
-	// always-protected generations per bin).
+	// RetainBytes has no effect: appends grow each pack in place, so no
+	// superseded file generations exist to retain.
 	RetainBytes int64
 	// WALRotateRecords is how many appends may accumulate in the WAL
 	// before it is reset (every logged record is already covered by
@@ -34,12 +33,13 @@ type Options struct {
 //	validate → WAL stage → fold against head → publish packs → WAL sync
 //
 // The ack point is the WAL group fsync: once Apply returns, a crash
-// anywhere — including mid-pack-write — replays into byte-identical
+// anywhere — including mid-record-write — replays into byte-identical
 // packs, because the fold and the gofs.Appender are both deterministic
-// functions of (dataset prefix, mutation sequence). Staging before the
-// fold and fsyncing after it is safe because the pack publish is itself
-// durable (slices and manifest are fsynced): on replay, records whose
-// timestep the packs already cover are skipped, and a torn unsynced
+// functions of (dataset prefix, mutation sequence), and the Appender cuts
+// any record past the published manifest when it reopens. Staging before
+// the fold and fsyncing after it is safe because the pack publish is
+// itself durable (records and manifest are fsynced): on replay, records
+// whose timestep the packs already cover are skipped, and a torn unsynced
 // record belongs to an append that was never acked. The manifest publish
 // is the visibility point: queries never see a timestep whose bytes are
 // not fully on disk.
@@ -70,57 +70,68 @@ func WALPath(datasetDir string) string {
 // Open starts an ingest session on a store, replaying any WAL left by a
 // crash before returning: recovered mutations for timesteps the packs
 // already cover are skipped (they were published before the crash), the
-// rest are folded and published, and the WAL is then reset. When Open
-// returns, packs, manifest, and WAL agree and the store's watermark is
-// the recovered head.
+// rest are folded and published, and the WAL is then reset. Temp files a
+// crashed publish left behind are swept. When Open returns, packs,
+// manifest, and WAL agree and the store's watermark is the recovered head.
 func Open(store *gofs.Store, opt Options) (*Ingester, error) {
 	if opt.WALRotateRecords <= 0 {
 		opt.WALRotateRecords = 64
 	}
 	met := newMetrics()
+	if _, _, err := store.TrimSuperseded(); err != nil {
+		return nil, err
+	}
 	app, err := gofs.NewAppender(store)
 	if err != nil {
 		return nil, err
 	}
 	wal, recovered, err := gofs.OpenWAL(WALPath(store.Dir()))
 	if err != nil {
+		app.Close()
 		return nil, err
 	}
 	wal.OnFsync = met.walFsync.Observe
 	wal.GroupWindow = opt.GroupCommitWindow
 	ing := &Ingester{store: store, met: met, opt: opt, app: app, wal: wal}
-	for _, payload := range recovered {
-		var mut Mutation
-		if err := json.Unmarshal(payload, &mut); err != nil {
-			wal.Close()
-			return nil, fmt.Errorf("ingest: corrupt WAL payload: %w", err)
-		}
-		if mut.Timestep == nil {
-			wal.Close()
-			return nil, fmt.Errorf("ingest: WAL payload without timestep")
-		}
-		head := store.Timesteps()
-		if *mut.Timestep < head {
-			continue // already folded and published before the crash
-		}
-		if *mut.Timestep > head {
-			wal.Close()
-			return nil, fmt.Errorf("ingest: WAL replay gap: record for timestep %d, head %d", *mut.Timestep, head)
-		}
-		if _, err := ing.foldLocked(&mut); err != nil {
-			wal.Close()
-			return nil, fmt.Errorf("ingest: WAL replay at timestep %d: %w", *mut.Timestep, err)
-		}
-	}
-	if len(recovered) > 0 {
-		if err := wal.Reset(nil); err != nil {
-			wal.Close()
-			return nil, err
-		}
+	if err := ing.replay(recovered); err != nil {
+		ing.Close()
+		return nil, err
 	}
 	met.watermark.Store(int64(store.Timesteps()))
 	met.walBytes.Store(wal.Size())
 	return ing, nil
+}
+
+// replay folds the recovered WAL records the packs do not cover yet, then
+// resets the WAL.
+func (i *Ingester) replay(recovered [][]byte) error {
+	for _, payload := range recovered {
+		var mut Mutation
+		if err := json.Unmarshal(payload, &mut); err != nil {
+			return fmt.Errorf("ingest: corrupt WAL payload: %w", err)
+		}
+		if mut.Timestep == nil {
+			return fmt.Errorf("ingest: WAL payload without timestep")
+		}
+		head := i.store.Timesteps()
+		if *mut.Timestep < head {
+			continue // already folded and published before the crash
+		}
+		if *mut.Timestep > head {
+			return fmt.Errorf("ingest: WAL replay gap: record for timestep %d, head %d", *mut.Timestep, head)
+		}
+		ops, err := compile(i.store.Template(), &mut)
+		if err == nil {
+			_, err = i.foldLocked(ops)
+		}
+		if err != nil {
+			return fmt.Errorf("ingest: WAL replay at timestep %d: %w", *mut.Timestep, err)
+		}
+	}
+	if len(recovered) == 0 {
+		return nil
+	}
+	return i.wal.Reset(nil)
 }
 
 // Metrics returns the ingest instrumentation (never nil).
@@ -195,7 +206,8 @@ func (i *Ingester) applyLocked(mut *Mutation) (watermark int, seq int64, walDur 
 	// Validate and compile before anything touches disk: a WAL record is
 	// only written for a mutation that is guaranteed to fold on replay.
 	stageStart := time.Now()
-	if _, err := compile(i.store.Template(), mut); err != nil {
+	ops, err := compile(i.store.Template(), mut)
+	if err != nil {
 		return 0, 0, 0, err
 	}
 	i.met.observeStage(stageValidate, time.Since(stageStart))
@@ -214,7 +226,7 @@ func (i *Ingester) applyLocked(mut *Mutation) (watermark int, seq int64, walDur 
 	walDur = time.Since(stageStart)
 	i.met.walBytes.Store(i.wal.Size())
 
-	wm, err := i.foldLocked(mut)
+	wm, err := i.foldLocked(ops)
 	if err != nil {
 		// The WAL now holds a staged record the packs will never cover.
 		// Drop it so a later replay cannot resurrect a mutation whose
@@ -235,28 +247,19 @@ func (i *Ingester) applyLocked(mut *Mutation) (watermark int, seq int64, walDur 
 		if err := i.wal.Reset(nil); err == nil {
 			i.sinceReset = 0
 		}
-		if i.opt.RetainBytes >= 0 {
-			if _, freed, err := i.store.TrimSuperseded(i.opt.RetainBytes); err == nil {
-				i.met.trimmedBytes.Add(freed)
-			}
-		}
 	}
 	i.met.walBytes.Store(i.wal.Size())
 	return wm, seq, walDur, nil
 }
 
-// foldLocked folds one validated mutation into a new head instance and
+// foldLocked folds one compiled mutation into a new head instance and
 // publishes it. Callers hold i.mu.
-func (i *Ingester) foldLocked(mut *Mutation) (int, error) {
+func (i *Ingester) foldLocked(ops []patchOp) (int, error) {
 	t := i.store.Template()
 	m := i.store.Manifest()
 	head := m.Timesteps
 
 	stageStart := time.Now()
-	ops, err := compile(t, mut)
-	if err != nil {
-		return 0, err
-	}
 	var ins *graph.Instance
 	if prev := i.app.Head(); prev != nil {
 		ins = prev.Clone()
@@ -280,9 +283,13 @@ func (i *Ingester) foldLocked(mut *Mutation) (int, error) {
 	return wm, nil
 }
 
-// Close closes the WAL. The dataset itself needs no closing.
+// Close closes the WAL and the Appender's open tail-pack files.
 func (i *Ingester) Close() error {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	return i.wal.Close()
+	aerr := i.app.Close()
+	if err := i.wal.Close(); err != nil {
+		return err
+	}
+	return aerr
 }

@@ -100,126 +100,214 @@ func datasetBytes(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
-// TestIngestCrashConsistency is the tentpole acceptance test: ingest K
-// timesteps; separately, ingest K-1, "crash" after the Kth mutation's WAL
-// record is durable but before any pack write (plus a torn partial record
-// behind it), and reopen. The recovered dataset must be byte-identical to
-// the uninterrupted run — manifest and every slice file.
+// unpublished returns, for every slice file of the uninterrupted run A
+// that run B does not yet hold byte for byte, B's bytes and A's. Because a
+// live pack grows by appending records, B's are a prefix of A's: the
+// difference is the last step's records, which a crash between the record
+// fsync and the manifest bump would leave on disk.
+func unpublished(t *testing.T, dirA, dirB string) map[string][2][]byte {
+	t.Helper()
+	a, b := datasetBytes(t, dirA), datasetBytes(t, dirB)
+	out := map[string][2][]byte{}
+	for name, want := range a {
+		if name == "manifest.gofs" || bytes.Equal(want, b[name]) {
+			continue
+		}
+		if !bytes.HasPrefix(want, b[name]) {
+			t.Fatalf("%s: the published file is not a prefix of the grown one", name)
+		}
+		out[name] = [2][]byte{b[name], want}
+	}
+	if len(out) == 0 {
+		t.Fatal("the last step changed no slice file")
+	}
+	return out
+}
+
+// TestIngestCrashConsistency is the crash matrix of a live append: ingest
+// K timesteps uninterrupted (run A); separately ingest K-1, make the Kth
+// mutation's WAL record durable, leave the disk as a crash at one point
+// of the Kth append would, and reopen (run B). Every cell must recover a
+// dataset byte-identical to run A — manifest and every slice file — and
+// to an offline write of what it recovered. An unacked cell loses the WAL
+// record too, so it recovers K-1 steps, and only the second oracle holds.
 func TestIngestCrashConsistency(t *testing.T) {
-	const seedSteps, appended = 5, 6
-	muts := func(g *graph.Template) []*Mutation {
-		var ms []*Mutation
-		for i := 0; i < appended; i++ {
-			ms = append(ms, testMutation(g, seedSteps+i))
-		}
-		return ms
-	}
+	const seedSteps = 5 // packs of 4: the seed's tail pack holds step 4
+	for _, tc := range []struct {
+		name     string
+		appended int
+		unacked  bool
+		crash    func(t *testing.T, dirA, dirB string)
+	}{
+		// Killed after the WAL fsync but before any record write, with a
+		// torn half WAL record behind it.
+		{"wal-only", 6, false, func(t *testing.T, _, dirB string) {
+			f, err := os.OpenFile(WALPath(dirB), os.O_APPEND|os.O_WRONLY, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.Write([]byte("GoWL\x01\x00\x00")); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// Killed after every bin's record was fsynced, before the manifest
+		// bump: the records sit past the published end.
+		{"records-unpublished", 6, false, func(t *testing.T, dirA, dirB string) {
+			for name, d := range unpublished(t, dirA, dirB) {
+				writeFile(t, filepath.Join(dirB, name), d[1])
+			}
+		}},
+		// Killed mid-write of one bin's record.
+		{"torn-record", 6, false, func(t *testing.T, dirA, dirB string) {
+			for name, d := range unpublished(t, dirA, dirB) {
+				pub, grown := d[0], d[1]
+				writeFile(t, filepath.Join(dirB, name), grown[:len(pub)+(len(grown)-len(pub))/2])
+				return
+			}
+		}},
+		// Killed mid-record before the WAL record was synced: the append
+		// was never acked, and its torn record must not survive into the
+		// next append's file.
+		{"unacked-torn-record", 6, true, func(t *testing.T, dirA, dirB string) {
+			for name, d := range unpublished(t, dirA, dirB) {
+				pub, grown := d[0], d[1]
+				writeFile(t, filepath.Join(dirB, name), grown[:len(pub)+(len(grown)-len(pub))/2])
+			}
+		}},
+		// The unpublished step is the first of a new pack (step 8): its
+		// files exist, holding a header and one record each.
+		{"new-pack", 4, false, func(t *testing.T, dirA, dirB string) {
+			for name, d := range unpublished(t, dirA, dirB) {
+				if len(d[0]) != 0 {
+					t.Fatalf("%s existed before the new pack's first step", name)
+				}
+				writeFile(t, filepath.Join(dirB, name), d[1])
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			muts := func(g *graph.Template) []*Mutation {
+				var ms []*Mutation
+				for i := 0; i < tc.appended; i++ {
+					ms = append(ms, testMutation(g, seedSteps+i))
+				}
+				return ms
+			}
 
-	// Run A: uninterrupted.
-	dirA := t.TempDir()
-	gA := seedDataset(t, dirA, seedSteps)
-	storeA, err := gofs.Open(dirA)
-	if err != nil {
-		t.Fatal(err)
+			// Run A: uninterrupted.
+			dirA := t.TempDir()
+			gA := seedDataset(t, dirA, seedSteps)
+			storeA, err := gofs.Open(dirA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingA, err := Open(storeA, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range muts(gA) {
+				if _, err := ingA.Apply(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := ingA.Watermark(); got != seedSteps+tc.appended {
+				t.Fatalf("watermark = %d, want %d", got, seedSteps+tc.appended)
+			}
+			ingA.Close()
+
+			// Run B: all but the last mutation, then its durable WAL
+			// record, then the cell's crash state.
+			dirB := t.TempDir()
+			gB := seedDataset(t, dirB, seedSteps)
+			storeB, err := gofs.Open(dirB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingB, err := Open(storeB, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			msB := muts(gB)
+			for _, m := range msB[:tc.appended-1] {
+				if _, err := ingB.Apply(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ingB.Close()
+			wantWM := seedSteps + tc.appended
+			if tc.unacked {
+				wantWM--
+			} else {
+				last := msB[tc.appended-1]
+				ts := seedSteps + tc.appended - 1
+				last.Timestep = &ts
+				payload, err := json.Marshal(last)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wal, _, err := gofs.OpenWAL(WALPath(dirB))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := wal.Append(payload); err != nil {
+					t.Fatal(err)
+				}
+				wal.Close()
+			}
+			tc.crash(t, dirA, dirB)
+
+			// Restart: the Appender cuts what the manifest does not cover,
+			// and replay folds the last mutation again.
+			storeB2, err := gofs.Open(dirB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingB2, err := Open(storeB2, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ingB2.Close()
+			if got := ingB2.Watermark(); got != wantWM {
+				t.Fatalf("recovered watermark = %d, want %d", got, wantWM)
+			}
+			if !tc.unacked {
+				sameDataset(t, "clean", dirA, dirB)
+			}
+			c, err := storeB2.LoadAll()
+			if err != nil {
+				t.Fatalf("recovered dataset unreadable: %v", err)
+			}
+			offline := t.TempDir()
+			if err := gofs.WriteDatasetOptions(offline, c, storeB2.Assignment(), gofs.Options{Pack: 4, Bin: 2, SnapshotEvery: 3}); err != nil {
+				t.Fatal(err)
+			}
+			sameDataset(t, "offline", offline, dirB)
+		})
 	}
-	ingA, err := Open(storeA, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range muts(gA) {
-		if _, err := ingA.Apply(m); err != nil {
-			t.Fatal(err)
+}
+
+// sameDataset fails unless the recovered dataset at got holds exactly the
+// manifest and slice files of the one at want.
+func sameDataset(t *testing.T, what, want, got string) {
+	t.Helper()
+	w, g := datasetBytes(t, want), datasetBytes(t, got)
+	for name := range g {
+		if _, ok := w[name]; !ok {
+			t.Errorf("recovered run has %s, the %s run does not", name, what)
 		}
 	}
-	if got := ingA.Watermark(); got != seedSteps+appended {
-		t.Fatalf("watermark = %d, want %d", got, seedSteps+appended)
-	}
-	ingA.Close()
-
-	// Run B: apply all but the last mutation, then simulate a SIGKILL that
-	// happened after the final mutation's WAL fsync but before its fold.
-	dirB := t.TempDir()
-	gB := seedDataset(t, dirB, seedSteps)
-	storeB, err := gofs.Open(dirB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingB, err := Open(storeB, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	msB := muts(gB)
-	for _, m := range msB[:appended-1] {
-		if _, err := ingB.Apply(m); err != nil {
-			t.Fatal(err)
+	for name, data := range w {
+		if !bytes.Equal(data, g[name]) {
+			t.Errorf("%s differs between the %s and the recovered run", name, what)
 		}
 	}
-	ingB.Close()
-	last := msB[appended-1]
-	ts := seedSteps + appended - 1
-	last.Timestep = &ts
-	payload, err := json.Marshal(last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wal, _, err := gofs.OpenWAL(WALPath(dirB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wal.Append(payload); err != nil {
-		t.Fatal(err)
-	}
-	wal.Close()
-	// A torn half-record behind it, as a crash mid-write would leave.
-	f, err := os.OpenFile(WALPath(dirB), os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte("GoWL\x01\x00\x00")); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+}
 
-	// Restart: replay folds the last mutation and discards the torn tail.
-	storeB2, err := gofs.Open(dirB)
-	if err != nil {
+func writeFile(t *testing.T, path string, data []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
-	}
-	ingB2, err := Open(storeB2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ingB2.Close()
-	if got := ingB2.Watermark(); got != seedSteps+appended {
-		t.Fatalf("recovered watermark = %d, want %d", got, seedSteps+appended)
-	}
-
-	wantFiles := datasetBytes(t, dirA)
-	gotFiles := datasetBytes(t, dirB)
-	if len(wantFiles) != len(gotFiles) {
-		t.Fatalf("file sets differ: clean %d files, recovered %d", len(wantFiles), len(gotFiles))
-	}
-	for name, want := range wantFiles {
-		got, ok := gotFiles[name]
-		if !ok {
-			t.Fatalf("recovered run missing %s", name)
-		}
-		if !bytes.Equal(want, got) {
-			t.Errorf("%s differs between clean and recovered run", name)
-		}
-	}
-
-	// And both datasets answer identically to a full offline read.
-	cA, err := storeA.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cB, err := storeB2.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cA.NumInstances() != cB.NumInstances() {
-		t.Fatalf("instance counts differ: %d vs %d", cA.NumInstances(), cB.NumInstances())
 	}
 }
 
@@ -310,9 +398,10 @@ func TestIngestValidation(t *testing.T) {
 	}
 }
 
-// TestIngestRetention: with an aggressive rotate cadence and a zero byte
-// budget, superseded tail-pack generations are trimmed as ingestion
-// proceeds and the trimmed-bytes counter advances.
+// TestIngestRetention: what a live-grown dataset retains on disk is
+// exactly what an offline write of the same collection holds — the same
+// file names with the same bytes, and no superseded generation, part file
+// or temp file beside them.
 func TestIngestRetention(t *testing.T) {
 	dir := t.TempDir()
 	g := seedDataset(t, dir, 5)
@@ -320,22 +409,25 @@ func TestIngestRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ing, err := Open(store, Options{WALRotateRecords: 1, RetainBytes: 0})
+	ing, err := Open(store, Options{WALRotateRecords: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ing.Close()
 	for i := 0; i < 8; i++ {
 		if _, err := ing.Apply(testMutation(g, 5+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if ing.Metrics().trimmedBytes.Load() <= 0 {
-		t.Fatal("retention trimmed nothing")
+	ing.Close()
+	c, err := store.LoadAll()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := store.LoadAll(); err != nil {
-		t.Fatalf("dataset unreadable after retention: %v", err)
+	offline := t.TempDir()
+	if err := gofs.WriteDatasetOptions(offline, c, store.Assignment(), gofs.Options{Pack: 4, Bin: 2, SnapshotEvery: 3}); err != nil {
+		t.Fatal(err)
 	}
+	sameDataset(t, "offline", offline, dir)
 }
 
 // TestIngestHTTP drives the handler end to end: accepted mutations answer

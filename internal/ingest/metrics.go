@@ -32,7 +32,6 @@ type Metrics struct {
 	walBytes     atomic.Int64
 	watermark    atomic.Int64
 	lastAppendNS atomic.Int64 // wall clock of the last successful append, 0 = never
-	trimmedBytes atomic.Int64
 }
 
 func newMetrics() *Metrics {
@@ -89,7 +88,4 @@ func (m *Metrics) CollectObs(emit func(obs.Sample)) {
 	emit(obs.Sample{Name: "tsingest_watermark_lag_seconds",
 		Help: "Seconds since the watermark last advanced (0 = never appended).",
 		Kind: "gauge", Value: m.SecondsSinceLastAppend()})
-	emit(obs.Sample{Name: "tsingest_retention_trimmed_bytes_total",
-		Help: "Bytes of superseded tail-pack generations deleted by retention.",
-		Kind: "counter", Value: float64(m.trimmedBytes.Load())})
 }

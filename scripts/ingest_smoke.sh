@@ -16,7 +16,10 @@
 #   3. SIGKILL (no drain, no flush) loses nothing: a restarted tsserve
 #      replays the WAL, reports the same watermark, and the pinned
 #      answers are unchanged;
-#   4. the restarted server still drains cleanly on SIGTERM.
+#   4. the live-grown dataset holds no part or temp file, and an offline
+#      tspart -rewrite of it is cmp-identical, file by file (appends grow
+#      packs in place, so a live pack is a byte prefix of an offline one);
+#   5. the restarted server still drains cleanly on SIGTERM.
 #
 # Environment: SMOKE_DIR (workdir, default mktemp).
 set -euo pipefail
@@ -30,11 +33,12 @@ echo "workdir: $WORK"
 
 go build -o "$WORK/tsserve" ./cmd/tsserve
 go build -o "$WORK/tsrun" ./cmd/tsrun
+go build -o "$WORK/tspart" ./cmd/tspart
 go run ./cmd/tsgen -out "$WORK/ds" -rows 16 -cols 16 -steps 6 -data both \
     -pack 4 -snapshot-every 3 -parts 2 -seed 7 >/dev/null
 
 boot() { # boot LOGFILE -> sets SRV; ADDR printed by wait_listen
-    "$WORK/tsserve" -in "$WORK/ds" -addr 127.0.0.1:0 -ingest -retain-mb 4 \
+    "$WORK/tsserve" -in "$WORK/ds" -addr 127.0.0.1:0 -ingest \
         >"$1" 2>&1 &
     SRV=$!
 }
@@ -74,7 +78,7 @@ QLOG="$WORK/queries.codes"
 : >"$QLOG"
 (
     # Closed-loop background clients: live-head tdsp + meme queries must
-    # keep answering (non-5xx) while packs are republished under them.
+    # keep answering (non-5xx) while packs grow under them.
     while :; do
         curl -s -o /dev/null -w '%{http_code}\n' "http://$ADDR/query" \
             -d "{\"kind\":\"tdsp\",\"source\":$SRC,\"target\":${VERTS[3]}}" >>"$QLOG" 2>/dev/null || true
@@ -159,6 +163,23 @@ REPLAY_PIN="$(pinned_tdsp "$ADDR" "$SRC" "${VERTS[7]}" "$WANT_WM")"
     exit 1
 }
 echo "   recovered watermark $WANT_WM, pinned answer unchanged"
+
+echo "== the live dataset is exactly an offline write of the same steps"
+STRAY="$(find "$WORK/ds/slices" -name '*.part*' -o -name '.*' -type f)"
+[ -z "$STRAY" ] || { echo "FAIL: slices/ holds part or temp files:"; echo "$STRAY"; exit 1; }
+rm -rf "$WORK/rewrite"
+"$WORK/tspart" -in "$WORK/ds" -rewrite "$WORK/rewrite" -snapshot-every 3 >/dev/null
+LIVE_FILES="$(cd "$WORK/ds" && find template.gofs manifest.gofs slices -type f | sort)"
+OFF_FILES="$(cd "$WORK/rewrite" && find template.gofs manifest.gofs slices -type f | sort)"
+[ "$LIVE_FILES" = "$OFF_FILES" ] || {
+    echo "FAIL: live and rewritten datasets hold different files:"
+    diff <(echo "$LIVE_FILES") <(echo "$OFF_FILES") || true
+    exit 1
+}
+for f in $LIVE_FILES; do
+    cmp -s "$WORK/ds/$f" "$WORK/rewrite/$f" || { echo "FAIL: $f differs from its offline rewrite"; exit 1; }
+done
+echo "   $(echo "$LIVE_FILES" | wc -l) files cmp-identical to tspart -rewrite"
 
 echo "== restarted server drains cleanly"
 kill -TERM "$SRV"
