@@ -464,16 +464,6 @@ func runDistributed(store *tsgraph.Store, rank int, addrs []string, algo string,
 	if err != nil {
 		log.Fatal(err)
 	}
-	owner := make([]int32, assign.K)
-	for p := range owner {
-		owner[p] = int32(p % len(addrs))
-	}
-	var local []*subgraph.PartitionData
-	for _, pd := range parts {
-		if int(owner[pd.PID]) == rank {
-			local = append(local, pd)
-		}
-	}
 	var wd *obs.Watchdog
 	if opts.watchdog {
 		wd = obs.NewWatchdog(obs.WatchdogConfig{
@@ -483,8 +473,8 @@ func runDistributed(store *tsgraph.Store, rank int, addrs []string, algo string,
 			Tracer:  opts.tracer,
 			Describe: func(party int) string {
 				var owned []int
-				for p, r := range owner {
-					if int(r) == party {
+				for p := 0; p < assign.K; p++ {
+					if cluster.OwnerOf(p, len(addrs)) == party {
 						owned = append(owned, p)
 					}
 				}
@@ -512,11 +502,12 @@ func runDistributed(store *tsgraph.Store, rank int, addrs []string, algo string,
 	if opts.resilient {
 		resil = &cluster.Resilience{} // all defaults; see cluster.Resilience
 	}
-	node, err := cluster.New(cluster.Config{
-		Rank: rank, Addrs: addrs, Owner: owner,
+	cfg := bsp.Config{CoresPerHost: cores, ProfileLabels: opts.profileLabels}
+	node, mesh, err := cluster.NewMesh(cluster.Config{
+		Rank: rank, Addrs: addrs,
 		Tracer: opts.tracer, Watchdog: wd,
 		Resilience: resil, Chaos: opts.chaos,
-	})
+	}, parts, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -525,10 +516,8 @@ func runDistributed(store *tsgraph.Store, rank int, addrs []string, algo string,
 	// Serve this rank's shard (spans + rank-0 clock alignment) for HTTP
 	// pull-based merging alongside the wire gather.
 	reg.SetShardSource(node.Shard)
+	local := mesh.Local
 
-	cfg := bsp.Config{CoresPerHost: cores, ProfileLabels: opts.profileLabels}
-	engine := bsp.NewEngineRemote(local, cfg, node)
-	node.Bind(engine)
 	fmt.Printf("rank %d/%d: owning partitions %v; connecting mesh...\n", rank, len(addrs), node.LocalPartitions())
 	if err := node.Start(); err != nil {
 		log.Fatal(err)
@@ -540,14 +529,10 @@ func runDistributed(store *tsgraph.Store, rank int, addrs []string, algo string,
 	loader.Chaos = opts.chaos
 	job := &core.Job{
 		Template:        tmpl,
-		Parts:           local,
 		Source:          loader,
-		Pattern:         core.SequentiallyDependent,
 		Config:          cfg,
 		Recorder:        rec,
-		Remote:          node,
-		Coordinator:     node,
-		GlobalSubgraphs: subgraph.TotalSubgraphs(parts),
+		Mesh:            mesh,
 		CheckpointDir:   opts.ckptDir,
 		CheckpointEvery: opts.ckptEvery,
 		CheckpointRank:  rank,
@@ -560,10 +545,11 @@ func runDistributed(store *tsgraph.Store, rank int, addrs []string, algo string,
 	}
 	srcIdx := tmpl.VertexIndex(tsgraph.VertexID(source))
 	var report func()
+	var sweep func(*core.Job) (*core.Result, error)
 	switch algo {
 	case "tdsp":
 		prog := algorithms.NewTDSP(local, srcIdx, float64(store.Manifest().Delta), tsgraph.AttrLatency)
-		job.Program = prog
+		sweep = prog.Sweep
 		report = func() {
 			arr := prog.Arrivals(local, tmpl)
 			reached := 0
@@ -579,6 +565,7 @@ func runDistributed(store *tsgraph.Store, rank int, addrs []string, algo string,
 	case "meme":
 		prog := algorithms.NewMeme(local, meme, tsgraph.AttrTweets)
 		job.Program = prog
+		sweep = algorithms.Sweep
 		report = func() {
 			at := prog.ColoredAt(local, tmpl)
 			colored := 0
@@ -596,7 +583,7 @@ func runDistributed(store *tsgraph.Store, rank int, addrs []string, algo string,
 	}
 
 	start := time.Now()
-	res, err := core.RunWithEngine(job, engine)
+	res, err := sweep(job)
 	if err != nil {
 		log.Fatal(err)
 	}

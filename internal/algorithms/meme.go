@@ -284,7 +284,7 @@ func RunMeme(
 	rec *metrics.Recorder,
 ) ([]int32, *core.Result, error) {
 	prog := NewMeme(parts, meme, tweetsAttr)
-	res, err := Sweep(&core.Job{Template: t, Parts: parts, Source: source, Program: prog, Config: cfg, Recorder: rec}, nil)
+	res, err := Sweep(&core.Job{Template: t, Parts: parts, Source: source, Program: prog, Config: cfg, Recorder: rec})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -163,7 +163,7 @@ func NewTDSP(parts []*subgraph.PartitionData, source int, delta float64, weightA
 // Query sources must be distinct (a serving layer deduplicates before
 // batching); duplicate targets within a query are deduplicated here. Every
 // source and target must lie in parts, so a sharded rank passes the full
-// partition set and runs only its own share (Mesh.Local).
+// partition set and runs only its own share (core.Mesh.Local).
 func NewBatchTDSP(parts []*subgraph.PartitionData, queries []BatchQuery, depart int, delta float64, weightAttr string) (*BatchTDSPProgram, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("algorithms: batch TDSP needs at least one query")
@@ -573,13 +573,13 @@ func (p *BatchTDSPProgram) ArrivalsOf(si int, parts []*subgraph.PartitionData, t
 // Sweep is the one Algorithm 2 driver. The caller fills the job's Template,
 // Parts, Source, Config and, if wanted, Recorder and Tracer; Sweep runs the
 // program over the source's window [Depart, end), in this process or, with
-// a Mesh, as this rank's share of a distributed sweep. The Master-style
+// job.Mesh set, as this rank's share of a distributed sweep. The Master-style
 // global termination follows from how the program was built — a NewTDSP
 // program stops once every vertex is finalized (the paper's WIKI run
 // converges in 4 of 50 timesteps), a batch whose queries all name targets
 // once every target is, any other batch runs the window out — and is
 // dropped on a mesh (see the package-level Sweep).
-func (p *BatchTDSPProgram) Sweep(job *core.Job, mesh *Mesh) (*core.Result, error) {
+func (p *BatchTDSPProgram) Sweep(job *core.Job) (*core.Result, error) {
 	job.Program = p
 	job.StartTimestep = p.Depart
 	counter, want := CounterTargetsDone, int64(0)
@@ -594,7 +594,7 @@ func (p *BatchTDSPProgram) Sweep(job *core.Job, mesh *Mesh) (*core.Result, error
 			want += int64(len(q.Targets))
 		}
 	}
-	if mesh == nil && want > 0 {
+	if job.Mesh == nil && want > 0 {
 		var done int64
 		job.HaltCondition = func(ts int, tr *metrics.TimestepRecord) bool {
 			if tr == nil {
@@ -606,7 +606,7 @@ func (p *BatchTDSPProgram) Sweep(job *core.Job, mesh *Mesh) (*core.Result, error
 			return done >= want
 		}
 	}
-	return Sweep(job, mesh)
+	return Sweep(job)
 }
 
 // RunTDSP runs single-source TDSP from src over all instances of a source,
@@ -623,7 +623,7 @@ func RunTDSP(
 	rec *metrics.Recorder,
 ) ([]float64, *core.Result, error) {
 	prog := NewTDSP(parts, src, delta, weightAttr)
-	res, err := prog.Sweep(&core.Job{Template: t, Parts: parts, Source: source, Config: cfg, Recorder: rec}, nil)
+	res, err := prog.Sweep(&core.Job{Template: t, Parts: parts, Source: source, Config: cfg, Recorder: rec})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -650,7 +650,7 @@ func RunBatchTDSP(
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := prog.Sweep(&core.Job{Template: t, Parts: parts, Source: source, Config: cfg, Recorder: rec, Tracer: tracer}, nil)
+	res, err := prog.Sweep(&core.Job{Template: t, Parts: parts, Source: source, Config: cfg, Recorder: rec, Tracer: tracer})
 	if err != nil {
 		return nil, nil, err
 	}

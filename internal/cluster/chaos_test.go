@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"tsgraph/internal/algorithms"
-	"tsgraph/internal/bsp"
 	"tsgraph/internal/chaos"
 	"tsgraph/internal/core"
 	"tsgraph/internal/gen"
@@ -81,13 +80,13 @@ func TestChaosSendFaultReconnectsAndMatches(t *testing.T) {
 	want := tdspReference(t, f)
 
 	seed := chaosSeed(t)
-	nodes := meshWith(t, k, f.owner, func(rank int, cfg *Config) {
+	nodes, meshes := mesh(t, k, f.parts, func(rank int, cfg *Config) {
 		cfg.Resilience = testResilience()
 		if rank == 1 {
 			cfg.Chaos = chaos.New(seed).SetAt(chaos.SiteWireSend, 5)
 		}
 	})
-	got := runDistributedTDSP(t, f, nodes)
+	got := runDistributedTDSP(t, f, meshes)
 	requireSameArrivals(t, want, got)
 
 	retries, reconnects, _, _, _ := nodes[1].RecoveryStats()
@@ -106,13 +105,13 @@ func TestChaosRecvFaultReconnectsAndMatches(t *testing.T) {
 	want := tdspReference(t, f)
 
 	seed := chaosSeed(t)
-	nodes := meshWith(t, k, f.owner, func(rank int, cfg *Config) {
+	nodes, meshes := mesh(t, k, f.parts, func(rank int, cfg *Config) {
 		cfg.Resilience = testResilience()
 		if rank == 2 {
 			cfg.Chaos = chaos.New(seed).SetAt(chaos.SiteWireRecv, 10)
 		}
 	})
-	got := runDistributedTDSP(t, f, nodes)
+	got := runDistributedTDSP(t, f, meshes)
 	requireSameArrivals(t, want, got)
 
 	var reconnects int64
@@ -135,13 +134,13 @@ func TestChaosBarrierFaultReconnectsAndMatches(t *testing.T) {
 	want := tdspReference(t, f)
 
 	seed := chaosSeed(t)
-	nodes := meshWith(t, k, f.owner, func(rank int, cfg *Config) {
+	nodes, meshes := mesh(t, k, f.parts, func(rank int, cfg *Config) {
 		cfg.Resilience = testResilience()
 		if rank == 0 {
 			cfg.Chaos = chaos.New(seed).SetAt(chaos.SiteBarrierEOS, 2)
 		}
 	})
-	got := runDistributedTDSP(t, f, nodes)
+	got := runDistributedTDSP(t, f, meshes)
 	requireSameArrivals(t, want, got)
 
 	retries, reconnects, _, _, _ := nodes[0].RecoveryStats()
@@ -162,7 +161,7 @@ func TestChaosRandomFaultsStillCorrect(t *testing.T) {
 
 	seed := chaosSeed(t)
 	injectors := make([]*chaos.Injector, k)
-	nodes := meshWith(t, k, f.owner, func(rank int, cfg *Config) {
+	nodes, meshes := mesh(t, k, f.parts, func(rank int, cfg *Config) {
 		cfg.Resilience = testResilience()
 		injectors[rank] = chaos.New(seed+int64(rank)).
 			SetProb(chaos.SiteWireSend, 0.05).
@@ -170,7 +169,7 @@ func TestChaosRandomFaultsStillCorrect(t *testing.T) {
 			SetProb(chaos.SiteBarrierEOS, 0.01)
 		cfg.Chaos = injectors[rank]
 	})
-	got := runDistributedTDSP(t, f, nodes)
+	got := runDistributedTDSP(t, f, meshes)
 	requireSameArrivals(t, want, got)
 
 	for r, inj := range injectors {
@@ -188,7 +187,6 @@ func TestChaosRandomFaultsStillCorrect(t *testing.T) {
 type chaosKillFixture struct {
 	tmpl  *graph.Template
 	parts []*subgraph.PartitionData
-	owner []int32
 	dir   string // GoFS dataset
 }
 
@@ -213,11 +211,7 @@ func newChaosKillFixture(tb testing.TB, k int) *chaosKillFixture {
 	if err := gofs.WriteDataset(dir, coll, a, 4, 0); err != nil {
 		tb.Fatal(err)
 	}
-	owner := make([]int32, k)
-	for i := range owner {
-		owner[i] = int32(i)
-	}
-	return &chaosKillFixture{tmpl: tmpl, parts: parts, owner: owner, dir: dir}
+	return &chaosKillFixture{tmpl: tmpl, parts: parts, dir: dir}
 }
 
 // openLoader opens one rank's view of the GoFS dataset.
@@ -245,61 +239,47 @@ type killRunResult struct {
 func runTDSPRanks(
 	tb testing.TB,
 	f *chaosKillFixture,
-	nodes []*Node,
+	meshes []*core.Mesh,
 	mutate func(rank int, job *core.Job, loader *gofs.Loader),
 	after func(rank int, err error),
 ) ([]killRunResult, []float64) {
 	tb.Helper()
-	k := len(nodes)
 	merged := make([]float64, f.tmpl.NumVertices())
 	for i := range merged {
 		merged[i] = algorithms.Inf
 	}
-	outs := make([]killRunResult, k)
-	total := subgraph.TotalSubgraphs(f.parts)
+	outs := make([]killRunResult, len(meshes))
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for r := 0; r < k; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			local := f.parts[r : r+1]
-			loader := f.openLoader(tb)
-			prog := algorithms.NewTDSP(local, 0, 20, gen.AttrLatency)
-			engine := bsp.NewEngineRemote(local, bsp.Config{}, nodes[r])
-			nodes[r].Bind(engine)
-			job := &core.Job{
-				Template:        f.tmpl,
-				Parts:           local,
-				Source:          loader,
-				Program:         prog,
-				Pattern:         core.SequentiallyDependent,
-				Remote:          nodes[r],
-				Coordinator:     nodes[r],
-				GlobalSubgraphs: total,
+	eachRank(len(meshes), func(r int) error {
+		local := meshes[r].Local
+		loader := f.openLoader(tb)
+		prog := algorithms.NewTDSP(local, 0, 20, gen.AttrLatency)
+		job := &core.Job{
+			Template: f.tmpl,
+			Source:   loader,
+			Mesh:     meshes[r],
+		}
+		if mutate != nil {
+			mutate(r, job, loader)
+		}
+		res, err := prog.Sweep(job)
+		outs[r] = killRunResult{err: err, res: res, loader: loader}
+		if after != nil {
+			after(r, err)
+		}
+		if err != nil {
+			return err
+		}
+		arr := prog.Arrivals(local, f.tmpl)
+		mu.Lock()
+		for _, pd := range local {
+			for _, g := range pd.GlobalIdx {
+				merged[g] = arr[g]
 			}
-			if mutate != nil {
-				mutate(r, job, loader)
-			}
-			res, err := core.RunWithEngine(job, engine)
-			outs[r] = killRunResult{err: err, res: res, loader: loader}
-			if after != nil {
-				after(r, err)
-			}
-			if err != nil {
-				return
-			}
-			arr := prog.Arrivals(local, f.tmpl)
-			mu.Lock()
-			for _, pd := range local {
-				for _, g := range pd.GlobalIdx {
-					merged[g] = arr[g]
-				}
-			}
-			mu.Unlock()
-		}(r)
-	}
-	wg.Wait()
+		}
+		mu.Unlock()
+		return nil
+	})
 	return outs, merged
 }
 
@@ -324,8 +304,8 @@ func TestChaosKillResumeByteIdentical(t *testing.T) {
 	f := newChaosKillFixture(t, k)
 
 	// Uninterrupted reference over the identical GoFS dataset.
-	refNodes := meshWith(t, k, f.owner, nil)
-	refOuts, refArrivals := runTDSPRanks(t, f, refNodes, nil, nil)
+	_, refMeshes := mesh(t, k, f.parts, nil)
+	refOuts, refArrivals := runTDSPRanks(t, f, refMeshes, nil, nil)
 	for r, out := range refOuts {
 		if out.err != nil {
 			t.Fatalf("reference rank %d: %v", r, out.err)
@@ -337,8 +317,8 @@ func TestChaosKillResumeByteIdentical(t *testing.T) {
 	// materialization (timestep 4, pack size 4) raises an injected fault.
 	ckdir := t.TempDir()
 	seed := chaosSeed(t)
-	killNodes := meshWith(t, k, f.owner, nil)
-	killOuts, _ := runTDSPRanks(t, f, killNodes,
+	killNodes, killMeshes := mesh(t, k, f.parts, nil)
+	killOuts, _ := runTDSPRanks(t, f, killMeshes,
 		func(rank int, job *core.Job, loader *gofs.Loader) {
 			job.CheckpointDir = ckdir
 			job.CheckpointRank = rank
@@ -394,8 +374,8 @@ func TestChaosKillResumeByteIdentical(t *testing.T) {
 
 	// Resume on a fresh mesh: consensus picks the common resume point and
 	// the remaining 8 timesteps replay.
-	resumeNodes := meshWith(t, k, f.owner, nil)
-	resumeOuts, resumeArrivals := runTDSPRanks(t, f, resumeNodes,
+	resumeNodes, resumeMeshes := mesh(t, k, f.parts, nil)
+	resumeOuts, resumeArrivals := runTDSPRanks(t, f, resumeMeshes,
 		func(rank int, job *core.Job, loader *gofs.Loader) {
 			job.CheckpointDir = ckdir
 			job.CheckpointRank = rank

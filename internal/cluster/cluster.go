@@ -6,19 +6,19 @@
 // are exchanged between timesteps.
 //
 // A Node implements both bsp.Remote (superstep messaging and barrier) and
-// core.Coordinator (temporal exchange), so plugging a node into a core.Job
-// is all a host needs:
+// core.Coordinator (temporal exchange). NewMesh builds a rank's node and an
+// engine over the partitions the rank owns (OwnerOf), bound to each other;
+// setting the returned core.Mesh on a job is all a host needs:
 //
-//	node, _ := cluster.New(cluster.Config{Rank: r, Addrs: addrs, Owner: owner})
-//	defer node.Close()
-//	engine-bound job := &core.Job{
-//	    Parts:  localParts,            // only the partitions Owner assigns to r
-//	    Remote: node, Coordinator: node,
-//	    GlobalSubgraphs: total,
-//	    ...
+//	node, mesh, err := cluster.NewMesh(cluster.Config{Rank: r, Addrs: addrs}, parts, bsp.Config{})
+//	if err != nil {
+//	    return err
 //	}
-//	node.Start()                       // connect the mesh
-//	core.Run(job)
+//	defer node.Close()
+//	if err := node.Start(); err != nil { // connect the mesh
+//	    return err
+//	}
+//	res, err := algorithms.Sweep(&core.Job{Template: t, Source: src, Program: prog, Mesh: mesh})
 //
 // The barrier protocol is coordinator-free: each node sends an
 // end-of-superstep frame carrying its local stats to every peer over the
@@ -37,7 +37,9 @@ import (
 
 	"tsgraph/internal/bsp"
 	"tsgraph/internal/chaos"
+	"tsgraph/internal/core"
 	"tsgraph/internal/obs"
+	"tsgraph/internal/subgraph"
 )
 
 func init() {
@@ -101,7 +103,8 @@ type Config struct {
 	// Listener optionally supplies the pre-bound listener for
 	// Addrs[Rank] (tests use ephemeral ports).
 	Listener net.Listener
-	// Owner maps template partition -> owning rank.
+	// Owner maps template partition -> owning rank. NewMesh fills it from
+	// OwnerOf.
 	Owner []int32
 	// DialTimeout bounds the connection phase (default 10s).
 	DialTimeout time.Duration
@@ -324,9 +327,43 @@ func (n *Node) LocalPartitions() []int {
 	return out
 }
 
-// Bind attaches the engine that receives injected messages. Must be called
-// before Start.
-func (n *Node) Bind(e *bsp.Engine) {
+// OwnerOf returns the rank that owns partition part in a mesh of ranks
+// nodes. Partitions go round-robin, so every process derives the same
+// assignment from the mesh size alone.
+func OwnerOf(part, ranks int) int {
+	if ranks <= 1 {
+		return 0
+	}
+	return part % ranks
+}
+
+// NewMesh builds rank cfg.Rank's node and an engine over the partitions of
+// parts (the full set) that the rank owns under OwnerOf, with the engine
+// bound to the node; cfg.Owner is replaced by that assignment. The caller
+// starts the node, runs jobs with the returned Mesh, and closes the node.
+func NewMesh(cfg Config, parts []*subgraph.PartitionData, bcfg bsp.Config) (*Node, *core.Mesh, error) {
+	cfg.Owner = make([]int32, len(parts))
+	for p := range cfg.Owner {
+		cfg.Owner[p] = int32(OwnerOf(p, len(cfg.Addrs)))
+	}
+	var local []*subgraph.PartitionData
+	for _, pd := range parts {
+		if OwnerOf(pd.PID, len(cfg.Addrs)) == cfg.Rank {
+			local = append(local, pd)
+		}
+	}
+	n, err := New(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	engine := bsp.NewEngineRemote(local, bcfg, n)
+	n.bind(engine)
+	return n, &core.Mesh{Node: n, Engine: engine, Local: local, Subgraphs: subgraph.TotalSubgraphs(parts)}, nil
+}
+
+// bind attaches the engine that receives injected messages. NewMesh calls
+// it before the node can start: an unbound node drops data frames.
+func (n *Node) bind(e *bsp.Engine) {
 	n.mu.Lock()
 	n.engine = e
 	n.mu.Unlock()

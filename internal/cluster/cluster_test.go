@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/gob"
+	"fmt"
 	"math"
 	"net"
 	"sync"
@@ -20,9 +21,11 @@ func init() {
 	gob.Register(map[string]int{}) // test payloads
 }
 
-// mesh spins up n nodes on ephemeral localhost ports and returns them
-// started (full mesh connected).
-func mesh(tb testing.TB, n int, owner []int32) []*Node {
+// mesh builds n ranks with NewMesh over parts (nil for tests that use
+// only the nodes) on ephemeral localhost ports, starts them, and closes
+// them when the test ends. mutate, when non-nil, fills each rank's Config
+// beyond Rank, Addrs and Listener.
+func mesh(tb testing.TB, n int, parts []*subgraph.PartitionData, mutate func(rank int, cfg *Config)) ([]*Node, []*core.Mesh) {
 	tb.Helper()
 	listeners := make([]net.Listener, n)
 	addrs := make([]string, n)
@@ -35,34 +38,50 @@ func mesh(tb testing.TB, n int, owner []int32) []*Node {
 		addrs[i] = ln.Addr().String()
 	}
 	nodes := make([]*Node, n)
+	meshes := make([]*core.Mesh, n)
 	for i := range nodes {
-		node, err := New(Config{Rank: i, Addrs: addrs, Listener: listeners[i], Owner: owner})
+		cfg := Config{Rank: i, Addrs: addrs, Listener: listeners[i]}
+		if mutate != nil {
+			mutate(i, &cfg)
+		}
+		node, m, err := NewMesh(cfg, parts, bsp.Config{})
 		if err != nil {
 			tb.Fatal(err)
 		}
-		nodes[i] = node
+		nodes[i], meshes[i] = node, m
+		tb.Cleanup(func() { node.Close() })
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i, node := range nodes {
-		wg.Add(1)
-		go func(i int, node *Node) {
-			defer wg.Done()
-			errs[i] = node.Start()
-		}(i, node)
-	}
-	wg.Wait()
-	for i, err := range errs {
+	for i, err := range eachRank(n, func(r int) error { return nodes[r].Start() }) {
 		if err != nil {
 			tb.Fatalf("node %d start: %v", i, err)
 		}
 	}
-	tb.Cleanup(func() {
-		for _, node := range nodes {
-			node.Close()
+	return nodes, meshes
+}
+
+// eachRank calls fn for every rank concurrently and returns the ranks'
+// errors.
+func eachRank(n int, fn func(rank int) error) []error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for r := 0; r < n; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			errs[r] = fn(r)
+		}(r)
+	}
+	wg.Wait()
+	return errs
+}
+
+func requireNoErrors(tb testing.TB, errs []error) {
+	tb.Helper()
+	for r, err := range errs {
+		if err != nil {
+			tb.Fatalf("node %d: %v", r, err)
 		}
-	})
-	return nodes
+	}
 }
 
 // distFixture builds a partitioned time-series dataset shared by the
@@ -71,7 +90,6 @@ type distFixture struct {
 	tmpl  *graph.Template
 	coll  *graph.Collection
 	parts []*subgraph.PartitionData
-	owner []int32
 }
 
 func newDistFixture(tb testing.TB, k int) *distFixture {
@@ -91,98 +109,76 @@ func newDistFixture(tb testing.TB, k int) *distFixture {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	// One partition per node.
-	owner := make([]int32, k)
-	for i := range owner {
-		owner[i] = int32(i)
-	}
-	return &distFixture{tmpl: tmpl, coll: coll, parts: parts, owner: owner}
+	return &distFixture{tmpl: tmpl, coll: coll, parts: parts}
 }
 
-// runDistributedTDSP runs TDSP with one node per partition and returns the
+// runDistributedTDSP runs TDSP on every rank of a mesh and returns the
 // merged template-indexed arrivals.
-func runDistributedTDSP(tb testing.TB, f *distFixture, nodes []*Node) []float64 {
+func runDistributedTDSP(tb testing.TB, f *distFixture, meshes []*core.Mesh) []float64 {
 	tb.Helper()
-	k := len(nodes)
 	merged := make([]float64, f.tmpl.NumVertices())
 	for i := range merged {
 		merged[i] = algorithms.Inf
 	}
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	errs := make([]error, k)
-	total := subgraph.TotalSubgraphs(f.parts)
-	for r := 0; r < k; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			local := f.parts[r : r+1]
-			prog := algorithms.NewTDSP(local, 0, 20, gen.AttrLatency)
-			engine := bsp.NewEngineRemote(local, bsp.Config{}, nodes[r])
-			nodes[r].Bind(engine)
-			_, err := core.RunWithEngine(&core.Job{
-				Template:        f.tmpl,
-				Parts:           local,
-				Source:          core.MemorySource{C: f.coll},
-				Program:         prog,
-				Pattern:         core.SequentiallyDependent,
-				Remote:          nodes[r],
-				Coordinator:     nodes[r],
-				GlobalSubgraphs: total,
-			}, engine)
-			if err != nil {
-				errs[r] = err
-				tb.Logf("node %d error: %v", r, err)
-				return
-			}
-			arr := prog.Arrivals(local, f.tmpl)
-			mu.Lock()
-			for _, pd := range local {
-				for _, g := range pd.GlobalIdx {
-					merged[g] = arr[g]
-				}
-			}
-			mu.Unlock()
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			tb.Fatalf("node %d: %v", r, err)
+	requireNoErrors(tb, eachRank(len(meshes), func(r int) error {
+		local := meshes[r].Local
+		prog := algorithms.NewTDSP(local, 0, 20, gen.AttrLatency)
+		if _, err := prog.Sweep(&core.Job{
+			Template: f.tmpl,
+			Source:   core.MemorySource{C: f.coll},
+			Mesh:     meshes[r],
+		}); err != nil {
+			return err
 		}
-	}
+		arr := prog.Arrivals(local, f.tmpl)
+		mu.Lock()
+		for _, pd := range local {
+			for _, g := range pd.GlobalIdx {
+				merged[g] = arr[g]
+			}
+		}
+		mu.Unlock()
+		return nil
+	}))
 	return merged
 }
 
+// meshShapes are the (ranks, partitions) pairs the single-process
+// equivalence tests run: one partition per rank, and ranks owning several.
+var meshShapes = []struct{ ranks, parts int }{{3, 3}, {2, 5}}
+
 func TestDistributedTDSPMatchesSingleProcess(t *testing.T) {
-	const k = 3
-	f := newDistFixture(t, k)
-	nodes := mesh(t, k, f.owner)
+	for _, shape := range meshShapes {
+		t.Run(fmt.Sprintf("ranks%d_parts%d", shape.ranks, shape.parts), func(t *testing.T) {
+			f := newDistFixture(t, shape.parts)
+			_, meshes := mesh(t, shape.ranks, f.parts, nil)
 
-	// Single-process reference over the identical parts.
-	refProg := algorithms.NewTDSP(f.parts, 0, 20, gen.AttrLatency)
-	if _, err := core.Run(&core.Job{
-		Template: f.tmpl, Parts: f.parts,
-		Source:  core.MemorySource{C: f.coll},
-		Program: refProg, Pattern: core.SequentiallyDependent,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := refProg.Arrivals(f.parts, f.tmpl)
+			// Single-process reference over the identical parts.
+			refProg := algorithms.NewTDSP(f.parts, 0, 20, gen.AttrLatency)
+			if _, err := core.Run(&core.Job{
+				Template: f.tmpl, Parts: f.parts,
+				Source:  core.MemorySource{C: f.coll},
+				Program: refProg, Pattern: core.SequentiallyDependent,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			want := refProg.Arrivals(f.parts, f.tmpl)
 
-	got := runDistributedTDSP(t, f, nodes)
-	for v := range want {
-		if math.IsInf(want[v], 1) != math.IsInf(got[v], 1) {
-			t.Fatalf("vertex %d: distributed %v vs single %v", v, got[v], want[v])
-		}
-		if !math.IsInf(want[v], 1) && math.Abs(want[v]-got[v]) > 1e-9 {
-			t.Fatalf("vertex %d: distributed %v vs single %v", v, got[v], want[v])
-		}
+			got := runDistributedTDSP(t, f, meshes)
+			for v := range want {
+				if math.IsInf(want[v], 1) != math.IsInf(got[v], 1) {
+					t.Fatalf("vertex %d: distributed %v vs single %v", v, got[v], want[v])
+				}
+				if !math.IsInf(want[v], 1) && math.Abs(want[v]-got[v]) > 1e-9 {
+					t.Fatalf("vertex %d: distributed %v vs single %v", v, got[v], want[v])
+				}
+			}
+		})
 	}
 }
 
 func TestDistributedMemeMatchesSingleProcess(t *testing.T) {
-	const k = 3
 	tmpl := gen.SmallWorld(gen.SmallWorldConfig{N: 400, M: 2, Seed: 12})
 	sir, err := gen.SIRTweets(tmpl, gen.SIRConfig{
 		Timesteps: 8, Delta: 10, Memes: []string{"#d"},
@@ -191,74 +187,60 @@ func TestDistributedMemeMatchesSingleProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := (partition.Multilevel{Seed: 14}).Partition(tmpl, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts, err := subgraph.Build(tmpl, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner := []int32{0, 1, 2}
-	nodes := mesh(t, k, owner)
-
-	refProg := algorithms.NewMeme(parts, "#d", gen.AttrTweets)
-	if _, err := core.Run(&core.Job{
-		Template: tmpl, Parts: parts,
-		Source:  core.MemorySource{C: sir.Collection},
-		Program: refProg, Pattern: core.SequentiallyDependent,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := refProg.ColoredAt(parts, tmpl)
-
-	got := make([]int32, tmpl.NumVertices())
-	for i := range got {
-		got[i] = -1
-	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	errs := make([]error, k)
-	total := subgraph.TotalSubgraphs(parts)
-	for r := 0; r < k; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			local := parts[r : r+1]
-			prog := algorithms.NewMeme(local, "#d", gen.AttrTweets)
-			engine := bsp.NewEngineRemote(local, bsp.Config{}, nodes[r])
-			nodes[r].Bind(engine)
-			_, err := core.RunWithEngine(&core.Job{
-				Template: tmpl, Parts: local,
-				Source:  core.MemorySource{C: sir.Collection},
-				Program: prog, Pattern: core.SequentiallyDependent,
-				Remote: nodes[r], Coordinator: nodes[r],
-				GlobalSubgraphs: total,
-			}, engine)
+	for _, shape := range meshShapes {
+		t.Run(fmt.Sprintf("ranks%d_parts%d", shape.ranks, shape.parts), func(t *testing.T) {
+			a, err := (partition.Multilevel{Seed: 14}).Partition(tmpl, shape.parts)
 			if err != nil {
-				errs[r] = err
-				return
+				t.Fatal(err)
 			}
-			at := prog.ColoredAt(local, tmpl)
-			mu.Lock()
-			for _, pd := range local {
-				for _, g := range pd.GlobalIdx {
-					got[g] = at[g]
+			parts, err := subgraph.Build(tmpl, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, meshes := mesh(t, shape.ranks, parts, nil)
+
+			refProg := algorithms.NewMeme(parts, "#d", gen.AttrTweets)
+			if _, err := core.Run(&core.Job{
+				Template: tmpl, Parts: parts,
+				Source:  core.MemorySource{C: sir.Collection},
+				Program: refProg, Pattern: core.SequentiallyDependent,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			want := refProg.ColoredAt(parts, tmpl)
+
+			got := make([]int32, tmpl.NumVertices())
+			for i := range got {
+				got[i] = -1
+			}
+			var mu sync.Mutex
+			requireNoErrors(t, eachRank(shape.ranks, func(r int) error {
+				local := meshes[r].Local
+				prog := algorithms.NewMeme(local, "#d", gen.AttrTweets)
+				if _, err := algorithms.Sweep(&core.Job{
+					Template: tmpl,
+					Source:   core.MemorySource{C: sir.Collection},
+					Program:  prog,
+					Mesh:     meshes[r],
+				}); err != nil {
+					return err
+				}
+				at := prog.ColoredAt(local, tmpl)
+				mu.Lock()
+				for _, pd := range local {
+					for _, g := range pd.GlobalIdx {
+						got[g] = at[g]
+					}
+				}
+				mu.Unlock()
+				return nil
+			}))
+			for v := range want {
+				if want[v] != got[v] {
+					t.Fatalf("vertex %d: distributed colored at %d, single %d", v, got[v], want[v])
 				}
 			}
-			mu.Unlock()
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d: %v", r, err)
-		}
-	}
-	for v := range want {
-		if want[v] != got[v] {
-			t.Fatalf("vertex %d: distributed colored at %d, single %d", v, got[v], want[v])
-		}
+		})
 	}
 }
 
@@ -280,34 +262,20 @@ func (p *votingProgram) Compute(ctx *core.Context, sg *subgraph.Subgraph, timest
 func TestDistributedWhileModeConsensus(t *testing.T) {
 	const k = 2
 	f := newDistFixture(t, k)
-	nodes := mesh(t, k, f.owner)
-	total := subgraph.TotalSubgraphs(f.parts)
+	_, meshes := mesh(t, k, f.parts, nil)
 
-	var wg sync.WaitGroup
 	results := make([]*core.Result, k)
-	errs := make([]error, k)
+	requireNoErrors(t, eachRank(k, func(r int) (err error) {
+		results[r], err = core.Run(&core.Job{
+			Template: f.tmpl,
+			Source:   core.MemorySource{C: f.coll},
+			Program:  &votingProgram{until: 4},
+			Pattern:  core.SequentiallyDependent, WhileMode: true,
+			Mesh: meshes[r],
+		})
+		return err
+	}))
 	for r := 0; r < k; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			local := f.parts[r : r+1]
-			engine := bsp.NewEngineRemote(local, bsp.Config{}, nodes[r])
-			nodes[r].Bind(engine)
-			results[r], errs[r] = core.RunWithEngine(&core.Job{
-				Template: f.tmpl, Parts: local,
-				Source:  core.MemorySource{C: f.coll},
-				Program: &votingProgram{until: 4},
-				Pattern: core.SequentiallyDependent, WhileMode: true,
-				Remote: nodes[r], Coordinator: nodes[r],
-				GlobalSubgraphs: total,
-			}, engine)
-		}(r)
-	}
-	wg.Wait()
-	for r := 0; r < k; r++ {
-		if errs[r] != nil {
-			t.Fatalf("node %d: %v", r, errs[r])
-		}
 		if !results[r].HaltedEarly || results[r].TimestepsRun != 5 {
 			t.Errorf("node %d: haltedEarly=%v timesteps=%d, want early at 5",
 				r, results[r].HaltedEarly, results[r].TimestepsRun)
@@ -322,7 +290,7 @@ func TestNodeConfigValidation(t *testing.T) {
 }
 
 func TestSingleNodeMesh(t *testing.T) {
-	nodes := mesh(t, 1, []int32{0})
+	nodes, _ := mesh(t, 1, nil, nil)
 	// A 1-node mesh degenerates to local behavior.
 	stats, err := nodes[0].Barrier(0, bsp.BarrierStats{Sent: 3, AllHalted: true})
 	if err != nil {

@@ -18,7 +18,7 @@ import (
 // values, and a rank label on every sample so several in-process nodes can
 // share one registry.
 func TestClusterMetricsExposition(t *testing.T) {
-	nodes := mesh(t, 2, []int32{0, 1})
+	nodes, _ := mesh(t, 2, nil, nil)
 
 	reg := obs.NewRegistry(nil)
 	reg.Register(nodes[0])
@@ -105,13 +105,13 @@ func TestRecoveryCountersNackReplay(t *testing.T) {
 	want := tdspReference(t, f)
 
 	seed := chaosSeed(t)
-	nodes := meshWith(t, k, f.owner, func(rank int, cfg *Config) {
+	nodes, meshes := mesh(t, k, f.parts, func(rank int, cfg *Config) {
 		cfg.Resilience = testResilience()
 		if rank == 2 {
 			cfg.Chaos = chaos.New(seed).SetAt(chaos.SiteWireRecv, 10)
 		}
 	})
-	got := runDistributedTDSP(t, f, nodes)
+	got := runDistributedTDSP(t, f, meshes)
 	requireSameArrivals(t, want, got)
 
 	// The nack is sent over the victim's own healthy outgoing link, but

@@ -103,7 +103,7 @@ func TestBackoffDeterministicBySeed(t *testing.T) {
 func TestGatherTracesLateShardWakesPromptly(t *testing.T) {
 	const k = 2
 	tracers := make([]*obs.Tracer, k)
-	nodes := meshWith(t, k, []int32{0, 1}, func(rank int, cfg *Config) {
+	nodes, _ := mesh(t, k, nil, func(rank int, cfg *Config) {
 		tracers[rank] = obs.NewTracer(0)
 		tracers[rank].Enable()
 		cfg.Tracer = tracers[rank]

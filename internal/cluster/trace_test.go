@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -16,55 +15,6 @@ import (
 	"tsgraph/internal/subgraph"
 )
 
-// meshWith is mesh with a per-rank Config hook, for tests that need
-// tracers or watchdogs attached to individual nodes.
-func meshWith(tb testing.TB, n int, owner []int32, mutate func(rank int, cfg *Config)) []*Node {
-	tb.Helper()
-	listeners := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := range listeners {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			tb.Fatal(err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	nodes := make([]*Node, n)
-	for i := range nodes {
-		cfg := Config{Rank: i, Addrs: addrs, Listener: listeners[i], Owner: owner}
-		if mutate != nil {
-			mutate(i, &cfg)
-		}
-		node, err := New(cfg)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		nodes[i] = node
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i, node := range nodes {
-		wg.Add(1)
-		go func(i int, node *Node) {
-			defer wg.Done()
-			errs[i] = node.Start()
-		}(i, node)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			tb.Fatalf("node %d start: %v", i, err)
-		}
-	}
-	tb.Cleanup(func() {
-		for _, node := range nodes {
-			node.Close()
-		}
-	})
-	return nodes
-}
-
 // TestGatherTracesMergesFourRankMesh is the tracing acceptance path: a
 // 4-rank loopback mesh runs distributed TDSP with a tracer per node, rank
 // 0 gathers every shard, and the merged trace must validate — one process
@@ -74,39 +24,21 @@ func TestGatherTracesMergesFourRankMesh(t *testing.T) {
 	const k = 4
 	f := newDistFixture(t, k)
 	tracers := make([]*obs.Tracer, k)
-	nodes := meshWith(t, k, f.owner, func(rank int, cfg *Config) {
+	nodes, meshes := mesh(t, k, f.parts, func(rank int, cfg *Config) {
 		tracers[rank] = obs.NewTracer(0)
 		tracers[rank].Enable()
 		cfg.Tracer = tracers[rank]
 	})
 
-	total := subgraph.TotalSubgraphs(f.parts)
-	var wg sync.WaitGroup
-	errs := make([]error, k)
-	for r := 0; r < k; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			local := f.parts[r : r+1]
-			prog := algorithms.NewTDSP(local, 0, 20, gen.AttrLatency)
-			engine := bsp.NewEngineRemote(local, bsp.Config{}, nodes[r])
-			nodes[r].Bind(engine)
-			_, errs[r] = core.RunWithEngine(&core.Job{
-				Template: f.tmpl, Parts: local,
-				Source:  core.MemorySource{C: f.coll},
-				Program: prog, Pattern: core.SequentiallyDependent,
-				Remote: nodes[r], Coordinator: nodes[r],
-				GlobalSubgraphs: total,
-				Tracer:          tracers[r],
-			}, engine)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d: %v", r, err)
-		}
-	}
+	requireNoErrors(t, eachRank(k, func(r int) error {
+		_, err := algorithms.NewTDSP(meshes[r].Local, 0, 20, gen.AttrLatency).Sweep(&core.Job{
+			Template: f.tmpl,
+			Source:   core.MemorySource{C: f.coll},
+			Tracer:   tracers[r],
+			Mesh:     meshes[r],
+		})
+		return err
+	}))
 
 	// Non-zero ranks ship their shards, then rank 0 collects all four.
 	for r := 1; r < k; r++ {
@@ -214,7 +146,7 @@ func TestClusterWatchdogNamesStalledRank(t *testing.T) {
 	log := &strings.Builder{}
 	var logMu sync.Mutex
 	var wd *obs.Watchdog
-	nodes := meshWith(t, k, f.owner, func(rank int, cfg *Config) {
+	_, meshes := mesh(t, k, f.parts, func(rank int, cfg *Config) {
 		if rank == 0 {
 			wd = obs.NewWatchdog(obs.WatchdogConfig{
 				Parties: k,
@@ -231,36 +163,20 @@ func TestClusterWatchdogNamesStalledRank(t *testing.T) {
 	})
 	defer wd.Close()
 
-	total := subgraph.TotalSubgraphs(f.parts)
-	var wg sync.WaitGroup
-	errs := make([]error, k)
-	for r := 0; r < k; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			local := f.parts[r : r+1]
-			prog := &stallOnce{limit: 6}
-			if r == 1 {
-				prog.at = 4
-				prog.delay = 500 * time.Millisecond // 10x the 50ms floor
-			}
-			engine := bsp.NewEngineRemote(local, bsp.Config{}, nodes[r])
-			nodes[r].Bind(engine)
-			_, errs[r] = core.RunWithEngine(&core.Job{
-				Template: f.tmpl, Parts: local,
-				Source:  core.MemorySource{C: f.coll},
-				Program: prog, Pattern: core.SequentiallyDependent,
-				Remote: nodes[r], Coordinator: nodes[r],
-				GlobalSubgraphs: total,
-			}, engine)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d: %v", r, err)
+	requireNoErrors(t, eachRank(k, func(r int) error {
+		prog := &stallOnce{limit: 6}
+		if r == 1 {
+			prog.at = 4
+			prog.delay = 500 * time.Millisecond // 10x the 50ms floor
 		}
-	}
+		_, err := core.Run(&core.Job{
+			Template: f.tmpl,
+			Source:   core.MemorySource{C: f.coll},
+			Program:  prog, Pattern: core.SequentiallyDependent,
+			Mesh: meshes[r],
+		})
+		return err
+	}))
 
 	warns := wd.Warnings()
 	if len(warns) != 1 {

@@ -46,7 +46,7 @@ type resumeState struct {
 // temporal exchange, so pending holds exactly what timestep ts+1 will be
 // seeded with.
 func checkpointTimestep(job *Job, ts int, pending []bsp.Message, res *Result) error {
-	cp := job.Program.(Checkpointer) // validated in RunWithEngine
+	cp := job.Program.(Checkpointer) // validated in Run
 	progState, err := cp.CheckpointState()
 	if err != nil {
 		return fmt.Errorf("core: timestep %d program checkpoint: %w", ts, err)

@@ -117,32 +117,21 @@ func TestForceGCEveryRuns(t *testing.T) {
 
 func TestDistributedValidation(t *testing.T) {
 	f := newFixture(t, 2, 2)
-	job := f.job(&countingProgram{}, SequentiallyDependent)
-	job.Coordinator = nopCoordinator{}
-	if _, err := Run(job); err == nil {
-		t.Error("Coordinator without Remote accepted")
-	}
-	job = f.job(&countingProgram{}, Independent)
-	job.Coordinator = nopCoordinator{}
-	job.Remote = nopRemote{}
+	job := f.job(&countingProgram{}, Independent)
+	job.Mesh = &Mesh{Node: nopNode{}, Engine: bsp.NewEngine(f.parts, bsp.Config{}), Local: f.parts}
 	if _, err := Run(job); err == nil {
 		t.Error("distributed independent pattern accepted")
 	}
-	job = f.job(&countingProgram{}, Independent)
-	if _, err := RunWithEngine(job, bsp.NewEngine(f.parts, bsp.Config{})); err == nil {
-		t.Error("pre-built engine accepted for independent pattern")
-	}
 }
 
-type nopCoordinator struct{}
+// nopNode is a mesh node with no peers.
+type nopNode struct{}
 
-func (nopCoordinator) ExchangeTemporal(ts int, out []bsp.Message, votes int) ([]bsp.Message, int, int, error) {
+func (nopNode) ExchangeTemporal(ts int, out []bsp.Message, votes int) ([]bsp.Message, int, int, error) {
 	return out, votes, len(out), nil
 }
 
-type nopRemote struct{}
-
-func (nopRemote) Send(int, []bsp.Message) error { return nil }
-func (nopRemote) Barrier(_ int, l bsp.BarrierStats) (bsp.BarrierStats, error) {
+func (nopNode) Send(int, []bsp.Message) error { return nil }
+func (nopNode) Barrier(_ int, l bsp.BarrierStats) (bsp.BarrierStats, error) {
 	return l, nil
 }

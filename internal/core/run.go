@@ -143,12 +143,6 @@ type Job struct {
 	// wrapper also serializes Source access, so non-thread-safe sources
 	// (gofs.Loader) become safe under temporal parallelism.
 	PrefetchDepth int
-	// TrackAllocs records per-timestep heap-allocation deltas
-	// (runtime.MemStats Mallocs/TotalAlloc) into the Recorder, quantifying
-	// the engine's allocation discipline alongside the time decomposition.
-	// It reads MemStats once per timestep, which briefly stops the world;
-	// leave it off outside perf experiments. Requires a Recorder.
-	TrackAllocs bool
 	// TemporalParallelism is how many instances run concurrently for the
 	// Independent and EventuallyDependent patterns (≤1 means sequential,
 	// which is what the paper's GoFFish implementation does).
@@ -175,16 +169,39 @@ type Job struct {
 	Resume          bool
 	ResumeConsensus func(local int) (int, error)
 
-	// Distributed execution (all three set together; see internal/cluster).
-	// Remote is handed to the BSP engine for cross-host superstep
-	// messaging; Coordinator exchanges temporal messages and halt votes
-	// between timesteps; GlobalSubgraphs is the subgraph count across all
-	// hosts (WhileMode consensus). Parts then holds only this host's
-	// partitions. Only the SequentiallyDependent pattern is supported
-	// distributed.
-	Remote          bsp.Remote
-	Coordinator     Coordinator
-	GlobalSubgraphs int
+	// Mesh, when set, runs the job as one rank's share of a distributed
+	// run (see Mesh; cluster.NewMesh builds one). The run then executes
+	// Mesh.Local on Mesh.Engine, and Parts is not read. Only the
+	// SequentiallyDependent pattern runs on a mesh.
+	Mesh *Mesh
+}
+
+// Mesh seats a sequentially dependent run on one rank of a cluster mesh.
+// Every rank runs the same job over its own Mesh: the node carries
+// boundary messages and barriers between the ranks' engines, and afterwards
+// each rank reads answers for the vertices it owns.
+//
+// Neither the node's barriers nor the engine's staged frames carry a run
+// identity, so the ranks must finish or fail a run together: a run that
+// errors on one rank only leaves the mesh unusable.
+type Mesh struct {
+	// Node is the rank's transport: superstep messages and barriers for
+	// the engine, temporal messages and halt votes between timesteps.
+	Node interface {
+		bsp.Remote
+		Coordinator
+	}
+	// Engine is built over Local with Node as its remote, and Node
+	// delivers into it. One engine serves every run on the mesh: each
+	// barrier drains its step's frames completely, and a peer's first
+	// frames of the next run are staged by superstep until this rank gets
+	// there.
+	Engine *bsp.Engine
+	// Local are the partitions this rank owns and runs.
+	Local []*subgraph.PartitionData
+	// Subgraphs is the subgraph count across all ranks (WhileMode
+	// consensus).
+	Subgraphs int
 }
 
 // Coordinator realizes the between-timesteps synchronization of a
@@ -222,14 +239,12 @@ type Result struct {
 }
 
 // Run executes a TI-BSP job.
-func Run(job *Job) (*Result, error) { return RunWithEngine(job, nil) }
-
-// RunWithEngine executes a TI-BSP job over a pre-built BSP engine. It
-// exists for distributed runs (the transport node must be bound to the
-// engine before execution); engine may be nil, in which case one is built
-// from the job. Only the sequentially dependent pattern accepts a
-// pre-built engine.
-func RunWithEngine(job *Job, engine *bsp.Engine) (*Result, error) {
+func Run(job *Job) (*Result, error) {
+	if job.Mesh != nil {
+		meshed := *job
+		meshed.Parts = job.Mesh.Local
+		job = &meshed
+	}
 	if job.Template == nil || len(job.Parts) == 0 {
 		return nil, fmt.Errorf("core: job needs a template and partitions")
 	}
@@ -256,10 +271,7 @@ func RunWithEngine(job *Job, engine *bsp.Engine) (*Result, error) {
 	if steps <= 0 || steps > avail {
 		steps = avail
 	}
-	if (job.Remote == nil) != (job.Coordinator == nil) {
-		return nil, fmt.Errorf("core: distributed jobs need both Remote and Coordinator")
-	}
-	if job.Coordinator != nil && job.Pattern != SequentiallyDependent {
+	if job.Mesh != nil && job.Pattern != SequentiallyDependent {
 		return nil, fmt.Errorf("core: distributed execution supports the sequentially dependent pattern only")
 	}
 	if job.CheckpointDir != "" {
@@ -280,7 +292,7 @@ func RunWithEngine(job *Job, engine *bsp.Engine) (*Result, error) {
 		if job.WhileMode {
 			return nil, fmt.Errorf("core: Incremental and WhileMode are incompatible (skipped subgraphs cast no halt votes)")
 		}
-		if job.Remote != nil || job.Coordinator != nil {
+		if job.Mesh != nil {
 			return nil, fmt.Errorf("core: Incremental is not supported in distributed runs")
 		}
 		if _, ok := job.Source.(DeltaSource); !ok {
@@ -292,11 +304,8 @@ func RunWithEngine(job *Job, engine *bsp.Engine) (*Result, error) {
 	}
 	switch job.Pattern {
 	case SequentiallyDependent:
-		return runSequential(job, steps, engine)
+		return runSequential(job, steps)
 	case Independent, EventuallyDependent:
-		if engine != nil {
-			return nil, fmt.Errorf("core: pre-built engines are only supported for the sequentially dependent pattern")
-		}
 		return runTemporallyParallel(job, steps)
 	default:
 		return nil, fmt.Errorf("core: unknown pattern %d", job.Pattern)
@@ -331,17 +340,22 @@ func (job *Job) tracer() *obs.Tracer {
 
 // runSequential implements the sequentially dependent pattern: one BSP per
 // instance, in order, threading temporal messages between them.
-func runSequential(job *Job, steps int, engine *bsp.Engine) (*Result, error) {
-	if engine == nil {
-		engine = bsp.NewEngineRemote(job.Parts, job.Config, job.Remote)
+func runSequential(job *Job, steps int) (*Result, error) {
+	var engine *bsp.Engine
+	sgCount := subgraph.TotalSubgraphs(job.Parts)
+	if job.Mesh != nil {
+		engine, sgCount = job.Mesh.Engine, job.Mesh.Subgraphs
+	} else {
+		engine = bsp.NewEngine(job.Parts, job.Config)
+		if job.Watchdog != nil {
+			// A meshed run watches rank arrivals at the cluster node
+			// instead: these hooks would double-report with partition
+			// parties.
+			engine.SetWatchdog(job.Watchdog)
+		}
 	}
 	tracer := job.tracer()
 	engine.SetTracer(tracer)
-	if job.Watchdog != nil && job.Remote == nil {
-		// Distributed runs watch rank arrivals at the cluster node; the
-		// engine-level hooks would double-report with partition parties.
-		engine.SetWatchdog(job.Watchdog)
-	}
 	source := job.Source
 	// Recognize a source the caller already wrapped, so its overlap stats
 	// still flow into the per-timestep records.
@@ -367,22 +381,12 @@ func runSequential(job *Job, steps int, engine *bsp.Engine) (*Result, error) {
 		}
 	}
 	pending := append([]bsp.Message(nil), job.Initial...)
-	sgCount := subgraph.TotalSubgraphs(job.Parts)
-	if job.GlobalSubgraphs > 0 {
-		sgCount = job.GlobalSubgraphs
-	}
 
 	// A private recorder keeps counters flowing to HaltCondition even when
 	// the caller did not ask for metrics.
 	privateRec := job.Recorder
 	if privateRec == nil && job.HaltCondition != nil {
 		privateRec = metrics.NewRecorder(len(job.Parts))
-	}
-
-	var memBefore runtime.MemStats
-	trackAllocs := job.TrackAllocs && privateRec != nil
-	if trackAllocs {
-		runtime.ReadMemStats(&memBefore)
 	}
 
 	startTS := job.StartTimestep
@@ -484,9 +488,9 @@ func runSequential(job *Job, steps int, engine *bsp.Engine) (*Result, error) {
 		// Early termination under While semantics.
 		halts := len(bres.Extras[chanHaltStep]) + endExtras.haltVotes
 		globalPending := len(pending)
-		if job.Coordinator != nil {
+		if job.Mesh != nil {
 			exchStart := time.Now()
-			incoming, votes, msgs, err := job.Coordinator.ExchangeTemporal(ts, pending, halts)
+			incoming, votes, msgs, err := job.Mesh.Node.ExchangeTemporal(ts, pending, halts)
 			if err != nil {
 				return nil, fmt.Errorf("core: timestep %d temporal exchange: %w", ts, err)
 			}
@@ -529,13 +533,6 @@ func runSequential(job *Job, steps int, engine *bsp.Engine) (*Result, error) {
 		}
 		if tracer.Active() {
 			tracer.RecordSpan(obs.SpanTimestep, -1, int32(ts), -1, 0, wallStart, time.Since(wallStart))
-		}
-		if trackAllocs && rec != nil {
-			var memAfter runtime.MemStats
-			runtime.ReadMemStats(&memAfter)
-			rec.Mallocs = memAfter.Mallocs - memBefore.Mallocs
-			rec.AllocBytes = memAfter.TotalAlloc - memBefore.TotalAlloc
-			memBefore = memAfter
 		}
 
 		if job.WhileMode && halts >= sgCount && globalPending == 0 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"sync"
 	"time"
 
@@ -56,7 +55,7 @@ func ChaosTable(ds *Dataset, nodesN, k int, cfg bsp.Config, seed int64, rates []
 	rows := make([]ChaosRow, 0, len(rates))
 	var reference []float64
 	for _, rate := range rates {
-		row, arrivals, err := runChaosTDSP(ds, parts, nodesN, k, cfg, seed, rate)
+		row, arrivals, err := runChaosTDSP(ds, parts, nodesN, cfg, seed, rate)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: chaos at rate %g: %w", rate, err)
 		}
@@ -88,124 +87,65 @@ func sameArrivals(a, b []float64) bool {
 
 // runChaosTDSP executes one fault-rate point: a nodes-way loopback mesh
 // with the resilient transport enabled and a seeded injector per rank.
-func runChaosTDSP(ds *Dataset, parts []*subgraph.PartitionData, nodesN, k int, cfg bsp.Config, seed int64, rate float64) (ChaosRow, []float64, error) {
+func runChaosTDSP(ds *Dataset, parts []*subgraph.PartitionData, nodesN int, cfg bsp.Config, seed int64, rate float64) (ChaosRow, []float64, error) {
 	row := ChaosRow{FaultRate: rate}
-	owner := make([]int32, k)
-	for p := range owner {
-		owner[p] = int32(p % nodesN)
-	}
-	listeners := make([]net.Listener, nodesN)
-	addrs := make([]string, nodesN)
-	for i := range listeners {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return row, nil, err
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
 	injectors := make([]*chaos.Injector, nodesN)
-	nodes := make([]*cluster.Node, nodesN)
-	for i := range nodes {
+	g, err := startLoopback(nodesN, parts, cfg, func(i int, c *cluster.Config) {
 		if rate > 0 {
 			injectors[i] = chaos.New(seed+int64(i)).
 				SetProb(chaos.SiteWireSend, rate).
 				SetProb(chaos.SiteWireRecv, rate/2)
 		}
-		n, err := cluster.New(cluster.Config{
-			Rank: i, Addrs: addrs, Listener: listeners[i], Owner: owner,
-			Resilience: &cluster.Resilience{
-				BackoffBase:    2 * time.Millisecond,
-				BackoffCap:     100 * time.Millisecond,
-				RecoveryWindow: 30 * time.Second,
-			},
-			Chaos: injectors[i],
-		})
-		if err != nil {
-			return row, nil, err
+		c.Resilience = &cluster.Resilience{
+			BackoffBase:    2 * time.Millisecond,
+			BackoffCap:     100 * time.Millisecond,
+			RecoveryWindow: 30 * time.Second,
 		}
-		nodes[i] = n
+		c.Chaos = injectors[i]
+	})
+	if err != nil {
+		return row, nil, err
 	}
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
-	var startWG sync.WaitGroup
-	startErrs := make([]error, nodesN)
-	for i, n := range nodes {
-		startWG.Add(1)
-		go func(i int, n *cluster.Node) {
-			defer startWG.Done()
-			startErrs[i] = n.Start()
-		}(i, n)
-	}
-	startWG.Wait()
-	for i, err := range startErrs {
-		if err != nil {
-			return row, nil, fmt.Errorf("node %d start: %w", i, err)
-		}
-	}
+	defer g.close()
 
-	total := subgraph.TotalSubgraphs(parts)
 	merged := make([]float64, ds.Template.NumVertices())
 	for i := range merged {
 		merged[i] = math.Inf(1)
 	}
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	errs := make([]error, nodesN)
 	walls := make([]time.Duration, nodesN)
-	for r := 0; r < nodesN; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			var local []*subgraph.PartitionData
-			for _, pd := range parts {
-				if int(owner[pd.PID]) == r {
-					local = append(local, pd)
-				}
-			}
-			prog := algorithms.NewTDSP(local, ds.SourceVertex, ds.Delta, "latency")
-			engine := bsp.NewEngineRemote(local, cfg, nodes[r])
-			nodes[r].Bind(engine)
-			wallStart := time.Now()
-			_, err := core.RunWithEngine(&core.Job{
-				Template:        ds.Template,
-				Parts:           local,
-				Source:          core.MemorySource{C: ds.Latencies},
-				Program:         prog,
-				Pattern:         core.SequentiallyDependent,
-				Config:          cfg,
-				Remote:          nodes[r],
-				Coordinator:     nodes[r],
-				GlobalSubgraphs: total,
-			}, engine)
-			walls[r] = time.Since(wallStart)
-			if err != nil {
-				errs[r] = err
-				nodes[r].Close() // fail loudly: unblock the peers
-				return
-			}
-			arr := prog.Arrivals(local, ds.Template)
-			mu.Lock()
-			for _, pd := range local {
-				for _, g := range pd.GlobalIdx {
-					merged[g] = arr[g]
-				}
-			}
-			mu.Unlock()
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
+	err = g.each(func(r int) error {
+		local := g.meshes[r].Local
+		prog := algorithms.NewTDSP(local, ds.SourceVertex, ds.Delta, "latency")
+		wallStart := time.Now()
+		_, err := algorithms.Sweep(&core.Job{
+			Template: ds.Template,
+			Source:   core.MemorySource{C: ds.Latencies},
+			Program:  prog,
+			Config:   cfg,
+			Mesh:     g.meshes[r],
+		})
+		walls[r] = time.Since(wallStart)
 		if err != nil {
-			return row, nil, fmt.Errorf("rank %d: %w", r, err)
+			g.nodes[r].Close() // fail loudly: unblock the peers
+			return err
 		}
+		arr := prog.Arrivals(local, ds.Template)
+		mu.Lock()
+		for _, pd := range local {
+			for _, v := range pd.GlobalIdx {
+				merged[v] = arr[v]
+			}
+		}
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		return row, nil, err
 	}
 
 	var downTotal time.Duration
-	for r, n := range nodes {
+	for r, n := range g.nodes {
 		retries, reconnects, dups, recoveries, down := n.RecoveryStats()
 		row.Retries += retries
 		row.Reconnects += reconnects

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
-	"sync"
 	"time"
 
 	"tsgraph/internal/algorithms"
@@ -13,7 +11,6 @@ import (
 	"tsgraph/internal/cluster"
 	"tsgraph/internal/core"
 	"tsgraph/internal/obs"
-	"tsgraph/internal/subgraph"
 )
 
 // DistributedSmokeRow is one rank of the loopback-cluster smoke run: the
@@ -74,26 +71,16 @@ func DistributedSmoke(ds *Dataset, nodesN, k int, cfg bsp.Config, seed int64, op
 	if err != nil {
 		return nil, err
 	}
-	owner := make([]int32, k)
-	for p := range owner {
-		owner[p] = int32(p % nodesN)
-	}
-
-	// Loopback mesh on ephemeral ports.
-	listeners := make([]net.Listener, nodesN)
-	addrs := make([]string, nodesN)
-	for i := range listeners {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
 	tracers := make([]*obs.Tracer, nodesN)
 	watchdogs := make([]*obs.Watchdog, nodesN)
-	nodes := make([]*cluster.Node, nodesN)
-	for i := range nodes {
+	defer func() {
+		for _, wd := range watchdogs {
+			if wd != nil {
+				wd.Close()
+			}
+		}
+	}()
+	g, err := startLoopback(nodesN, parts, cfg, func(i int, c *cluster.Config) {
 		if opts.Trace {
 			tracers[i] = obs.NewTracer(0)
 			tracers[i].Enable()
@@ -103,108 +90,60 @@ func DistributedSmoke(ds *Dataset, nodesN, k int, cfg bsp.Config, seed int64, op
 			wcfg.Parties = nodesN
 			wcfg.Tracer = tracers[i]
 			if wcfg.Describe == nil {
-				rank := i
 				wcfg.Describe = func(party int) string {
-					return fmt.Sprintf("rank %d (seen from rank %d)", party, rank)
+					return fmt.Sprintf("rank %d (seen from rank %d)", party, i)
 				}
 			}
 			watchdogs[i] = obs.NewWatchdog(wcfg)
 		}
-		n, err := cluster.New(cluster.Config{
-			Rank: i, Addrs: addrs, Listener: listeners[i], Owner: owner,
-			Tracer: tracers[i], Watchdog: watchdogs[i],
-		})
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = n
-		if opts.OnNode != nil {
+		c.Tracer, c.Watchdog = tracers[i], watchdogs[i]
+	})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: distributed smoke: %w", err)
+	}
+	defer g.close()
+	nodes := g.nodes
+	if opts.OnNode != nil {
+		for _, n := range nodes {
 			opts.OnNode(n)
 		}
 	}
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-		for _, wd := range watchdogs {
-			if wd != nil {
-				wd.Close()
-			}
-		}
-	}()
 
-	var startWG sync.WaitGroup
-	startErrs := make([]error, nodesN)
-	for i, n := range nodes {
-		startWG.Add(1)
-		go func(i int, n *cluster.Node) {
-			defer startWG.Done()
-			startErrs[i] = n.Start()
-		}(i, n)
-	}
-	startWG.Wait()
-	for i, err := range startErrs {
-		if err != nil {
-			return nil, fmt.Errorf("experiments: node %d start: %w", i, err)
-		}
-	}
-
-	total := subgraph.TotalSubgraphs(parts)
 	rows := make([]DistributedSmokeRow, nodesN)
-	errs := make([]error, nodesN)
-	var wg sync.WaitGroup
-	for r := 0; r < nodesN; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			var local []*subgraph.PartitionData
-			for _, pd := range parts {
-				if int(owner[pd.PID]) == r {
-					local = append(local, pd)
-				}
-			}
-			prog := algorithms.NewTDSP(local, ds.SourceVertex, ds.Delta, "latency")
-			engine := bsp.NewEngineRemote(local, cfg, nodes[r])
-			nodes[r].Bind(engine)
-			wallStart := time.Now()
-			res, err := core.RunWithEngine(&core.Job{
-				Template:        ds.Template,
-				Parts:           local,
-				Source:          core.MemorySource{C: ds.Latencies},
-				Program:         prog,
-				Pattern:         core.SequentiallyDependent,
-				Config:          cfg,
-				Remote:          nodes[r],
-				Coordinator:     nodes[r],
-				GlobalSubgraphs: total,
-				Tracer:          tracers[r],
-			}, engine)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			arr := prog.Arrivals(local, ds.Template)
-			reached := 0
-			for _, pd := range local {
-				for _, g := range pd.GlobalIdx {
-					if !math.IsInf(arr[g], 1) {
-						reached++
-					}
-				}
-			}
-			rows[r] = DistributedSmokeRow{
-				Rank: r, Partitions: len(local),
-				TimestepsRun: res.TimestepsRun, Supersteps: res.Supersteps,
-				Wall: time.Since(wallStart), Reached: reached,
-				Wire: nodes[r].WireStats(),
-			}
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
+	err = g.each(func(r int) error {
+		local := g.meshes[r].Local
+		prog := algorithms.NewTDSP(local, ds.SourceVertex, ds.Delta, "latency")
+		wallStart := time.Now()
+		res, err := algorithms.Sweep(&core.Job{
+			Template: ds.Template,
+			Source:   core.MemorySource{C: ds.Latencies},
+			Program:  prog,
+			Config:   cfg,
+			Tracer:   tracers[r],
+			Mesh:     g.meshes[r],
+		})
 		if err != nil {
-			return nil, fmt.Errorf("experiments: distributed smoke rank %d: %w", r, err)
+			return err
 		}
+		arr := prog.Arrivals(local, ds.Template)
+		reached := 0
+		for _, pd := range local {
+			for _, v := range pd.GlobalIdx {
+				if !math.IsInf(arr[v], 1) {
+					reached++
+				}
+			}
+		}
+		rows[r] = DistributedSmokeRow{
+			Rank: r, Partitions: len(local),
+			TimestepsRun: res.TimestepsRun, Supersteps: res.Supersteps,
+			Wall: time.Since(wallStart), Reached: reached,
+			Wire: nodes[r].WireStats(),
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: distributed smoke: %w", err)
 	}
 
 	result := &DistributedSmokeResult{Rows: rows}

@@ -76,12 +76,6 @@ type TimestepRecord struct {
 	// the BSP engine discarded during this timestep (a program bug made
 	// visible; see bsp.Result.MsgsDropped).
 	MsgsDropped int64
-	// Mallocs and AllocBytes are the timestep's heap-allocation deltas
-	// (runtime.MemStats), recorded when allocation tracking is enabled on
-	// the job; they quantify the engine's steady-state allocation
-	// discipline alongside the §IV-D time decomposition.
-	Mallocs    uint64
-	AllocBytes uint64
 	// Checkpoint is the time spent persisting the timestep-boundary
 	// checkpoint (program-state serialization plus the GoFS write), zero
 	// when checkpointing is off.
@@ -273,14 +267,6 @@ func (r *Recorder) PrefetchedTimesteps() int {
 func (r *Recorder) TotalMsgsDropped() int64 {
 	var total int64
 	r.forEach(func(rec *TimestepRecord) { total += rec.MsgsDropped })
-	return total
-}
-
-// TotalMallocs sums the per-timestep heap-allocation counts (zero unless
-// allocation tracking was enabled on the job).
-func (r *Recorder) TotalMallocs() uint64 {
-	var total uint64
-	r.forEach(func(rec *TimestepRecord) { total += rec.Mallocs })
 	return total
 }
 

@@ -433,14 +433,19 @@ func TestDrain(t *testing.T) {
 
 	var wg sync.WaitGroup
 	answers := make([]error, 3)
-	for i := 0; i < 3; i++ {
+	submit := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			_, answers[i] = s.Submit(context.Background(), Query{Kind: "tdsp", Source: 0, Target: int64(10 + i)})
-		}(i)
+		}()
 	}
+	// The first query alone occupies the worker, so the other two queue
+	// behind it rather than joining its batch.
+	submit(0)
 	<-gate.entered
+	submit(1)
+	submit(2)
 	waitFor(t, func() bool { return s.queues[ClassTDSP].depth() == 2 }, "backlog never built")
 
 	drained := make(chan error, 1)

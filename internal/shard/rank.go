@@ -61,7 +61,7 @@ type RankConfig struct {
 }
 
 // LocalParts returns the partition numbers a rank owns under a layout: the
-// member-local slice of the deterministic p % members assignment.
+// member-local slice of cluster.OwnerOf over the rank's group.
 func LocalParts(l Layout, rank, numParts int) []int {
 	_, member, members := l.GroupOf(rank)
 	if members == nil {
@@ -69,7 +69,7 @@ func LocalParts(l Layout, rank, numParts int) []int {
 	}
 	var owned []int
 	for p := 0; p < numParts; p++ {
-		if OwnerMember(p, len(members)) == member {
+		if cluster.OwnerOf(p, len(members)) == member {
 			owned = append(owned, p)
 		}
 	}
@@ -91,7 +91,7 @@ type Rank struct {
 	// sweep would let a faster peer's first-superstep frames land in the
 	// previous sweep's engine.
 	node *cluster.Node
-	mesh *algorithms.Mesh
+	mesh *core.Mesh
 
 	ln      net.Listener
 	sweepMu sync.Mutex
@@ -129,39 +129,28 @@ func NewRank(cfg RankConfig) (*Rank, error) {
 		ln:     cfg.Listener,
 		conns:  make(map[net.Conn]bool),
 	}
-	for _, pd := range cfg.Parts {
-		if OwnerMember(pd.PID, len(ranks)) == member {
-			r.local = append(r.local, pd)
-		}
+	if len(ranks) == 1 {
+		r.local = cfg.Parts
+		return r, nil
 	}
-	if len(ranks) > 1 {
-		if cfg.MeshListener == nil {
-			return nil, fmt.Errorf("shard: rank %d needs a mesh listener (group of %d)", cfg.Rank, len(ranks))
-		}
-		owner := make([]int32, len(cfg.Parts))
-		for p := range owner {
-			owner[p] = int32(OwnerMember(p, len(ranks)))
-		}
-		addrs := make([]string, len(ranks))
-		for i, gr := range ranks {
-			addrs[i] = cfg.Layout.Mesh[gr]
-		}
-		node, err := cluster.New(cluster.Config{
-			Rank:       member,
-			Addrs:      addrs,
-			Listener:   cfg.MeshListener,
-			Owner:      owner,
-			Tracer:     cfg.Tracer,
-			Resilience: cfg.Resilience,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.node = node
-		engine := bsp.NewEngineRemote(r.local, r.bspCfg, node)
-		node.Bind(engine)
-		r.mesh = &algorithms.Mesh{Remote: node, Coordinator: node, Engine: engine, Local: r.local}
+	if cfg.MeshListener == nil {
+		return nil, fmt.Errorf("shard: rank %d needs a mesh listener (group of %d)", cfg.Rank, len(ranks))
 	}
+	addrs := make([]string, len(ranks))
+	for i, gr := range ranks {
+		addrs[i] = cfg.Layout.Mesh[gr]
+	}
+	node, mesh, err := cluster.NewMesh(cluster.Config{
+		Rank:       member,
+		Addrs:      addrs,
+		Listener:   cfg.MeshListener,
+		Tracer:     cfg.Tracer,
+		Resilience: cfg.Resilience,
+	}, cfg.Parts, r.bspCfg)
+	if err != nil {
+		return nil, err
+	}
+	r.node, r.mesh, r.local = node, mesh, mesh.Local
 	return r, nil
 }
 
@@ -289,7 +278,7 @@ func (r *Rank) handle(req *Request) *Response {
 // ownsVertex reports whether this rank is authoritative for a template
 // vertex (its partition's instance data lives here).
 func (r *Rank) ownsVertex(v int) bool {
-	return OwnerMember(int(r.cfg.Assign.Parts[v]), len(r.ranks)) == r.member
+	return cluster.OwnerOf(int(r.cfg.Assign.Parts[v]), len(r.ranks)) == r.member
 }
 
 // job is the part of a cross-partition sweep every query class shares: the
@@ -302,6 +291,7 @@ func (r *Rank) job(watermark int) *core.Job {
 		Source:   core.Window{Src: r.cfg.Source, Hi: watermark},
 		Config:   r.bspCfg,
 		Tracer:   r.cfg.Tracer,
+		Mesh:     r.mesh,
 	}
 }
 
@@ -310,7 +300,7 @@ func (r *Rank) tdsp(req *Request, resp *Response) error {
 	if err != nil {
 		return err
 	}
-	if _, err := prog.Sweep(r.job(req.WM), r.mesh); err != nil {
+	if _, err := prog.Sweep(r.job(req.WM)); err != nil {
 		return err
 	}
 	for si, q := range req.Queries {
@@ -359,7 +349,7 @@ func (r *Rank) meme(req *Request, resp *Response) error {
 	prog := algorithms.NewMeme(r.cfg.Parts, req.Tag, r.cfg.TweetsAttr)
 	job := r.job(req.WM)
 	job.Program = prog
-	if _, err := algorithms.Sweep(job, r.mesh); err != nil {
+	if _, err := algorithms.Sweep(job); err != nil {
 		return err
 	}
 	coloredAt := prog.ColoredAt(r.local, r.cfg.Template)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"tsgraph/internal/algorithms"
+	"tsgraph/internal/cluster"
 	"tsgraph/internal/graph"
 	"tsgraph/internal/obs"
 	"tsgraph/internal/partition"
@@ -255,7 +256,7 @@ func (r *Router) SweepMeme(_ context.Context, watermark int, tag string, probes 
 		sp.Colored += resp.Colored
 	}
 	for i, v := range probes {
-		owner := OwnerMember(int(r.cfg.Assign.Parts[v]), len(g.members))
+		owner := cluster.OwnerOf(int(r.cfg.Assign.Parts[v]), len(g.members))
 		sp.ProbeAt[i] = int(resps[owner].ProbeAt[i])
 	}
 	return sp, nil

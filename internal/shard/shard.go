@@ -95,16 +95,6 @@ func (l Layout) GroupOf(rank int) (group, member int, members []int) {
 	return -1, -1, nil
 }
 
-// OwnerMember returns which member of an M-member group owns partition p.
-// This is the deterministic partition->rank assignment every process
-// derives independently from the shared layout.
-func OwnerMember(part, members int) int {
-	if members <= 1 {
-		return 0
-	}
-	return part % members
-}
-
 // Validate rejects layouts the processes could not agree on.
 func (l Layout) Validate() error {
 	if len(l.Ranks) == 0 {

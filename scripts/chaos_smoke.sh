@@ -3,7 +3,9 @@
 #
 # Exercises the full fault-tolerance loop end to end with real processes:
 #
-#   1. reference: a clean 4-rank tsrun TDSP mesh over loopback TCP;
+#   1. reference: a clean 4-rank tsrun TDSP mesh over loopback TCP, whose
+#                 ranks' finalized counts must sum to what a single-process
+#                 tsrun reaches on the same dataset;
 #   2. kill:      the same mesh with timestep-boundary checkpointing on,
 #                 where rank 2 dies on an injected gofs.load fault (the
 #                 timestep-8 pack load) and its fail-fast peers die with it;
@@ -40,6 +42,16 @@ for p in "${pids[@]}"; do
     wait "$p" || { echo "FAIL: reference rank exited nonzero"; tail -n 5 "$WORK"/ref_*.out; exit 1; }
 done
 grep -h "tdsp finalized" "$WORK"/ref_*.out | sort >"$WORK/ref.all"
+"$WORK/tsrun" -in "$WORK/ds" -algo tdsp >"$WORK/single.out" 2>&1 \
+    || { echo "FAIL: single-process run exited nonzero"; tail -n 5 "$WORK/single.out"; exit 1; }
+single=$(sed -n 's/^tdsp: reached \([0-9]*\) of.*/\1/p' "$WORK/single.out")
+meshed=$(awk '{ n += $5 } END { print n + 0 }' "$WORK/ref.all")
+if [ -z "$single" ] || [ "$meshed" != "$single" ]; then
+    echo "FAIL: ranks finalized $meshed vertices in all, single-process tsrun reached '${single}'"
+    cat "$WORK/ref.all"
+    exit 1
+fi
+echo "   ranks finalized $meshed vertices in all, as the single-process run reached"
 
 echo "== phase 2: checkpointed run killed by a chaos gofs.load fault on rank 2"
 A=$(addrs $((PORT + 10)))
