@@ -58,7 +58,7 @@ var allExps = []string{
 	"datasets", "edgecut", "scalability", "baseline", "timesteps",
 	"progress", "utilization", "distributed",
 	"ablation-partition", "ablation-temporal", "ablation-packing",
-	"elastic", "prefetch", "chaos", "incremental",
+	"elastic", "chaos", "incremental",
 }
 
 // parseExps resolves a comma-separated -exp value to the set of
@@ -347,15 +347,6 @@ func main() {
 		}
 		report["elastic"] = rows
 		experiments.RenderElasticHeadroom(os.Stdout, rows)
-		fmt.Println()
-	}
-	if wanted["prefetch"] {
-		rows, err := experiments.PrefetchAblation(road, experiments.AlgoTDSP, 6, []int{1, 2, 4}, dir, 10, 5, cfg, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		report["prefetch"] = rows
-		experiments.RenderPrefetch(os.Stdout, rows)
 		fmt.Println()
 	}
 	if wanted["chaos"] {

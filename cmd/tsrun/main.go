@@ -44,9 +44,9 @@ import (
 
 // flagValues carries the parsed flags whose combinations can conflict.
 type flagValues struct {
-	algo, caddrs, ckptDir, mergedOut  string
-	crank, ckptEvery, prefetch, cores int
-	resume, watchdog, resilient       bool
+	algo, caddrs, ckptDir, mergedOut string
+	crank, ckptEvery, cores          int
+	resume, watchdog, resilient      bool
 }
 
 // validateFlags rejects incoherent flag combinations up front and all at
@@ -56,9 +56,6 @@ func validateFlags(v flagValues) (errs []string) {
 	seqDep := v.algo == "tdsp" || v.algo == "meme"
 	if v.cores < 1 {
 		errs = append(errs, fmt.Sprintf("-cores must be >= 1, got %d", v.cores))
-	}
-	if v.prefetch < 0 {
-		errs = append(errs, fmt.Sprintf("-prefetch must be >= 0, got %d", v.prefetch))
 	}
 	if v.resume && v.ckptDir == "" {
 		errs = append(errs, "-resume needs -checkpoint")
@@ -81,9 +78,6 @@ func validateFlags(v flagValues) (errs []string) {
 		}
 		if !seqDep {
 			errs = append(errs, fmt.Sprintf("distributed mode supports tdsp and meme, not %q", v.algo))
-		}
-		if v.prefetch > 0 {
-			errs = append(errs, "-prefetch applies to single-process runs only")
 		}
 	} else {
 		if v.caddrs != "" {
@@ -119,7 +113,6 @@ func main() {
 		obsAddr   = flag.String("obs", "", "serve the observability endpoint (/metrics, /debug/trace, /debug/pprof) on this address, e.g. :9188")
 		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON file (load in Perfetto) at exit")
 		metrOut   = flag.String("metrics-out", "", "write a Prometheus text-format metrics snapshot at exit")
-		prefetch  = flag.Int("prefetch", 0, "decode up to N instances ahead of compute (0 = inline loads)")
 		mergedOut = flag.String("merged-trace", "", "distributed mode: gather every rank's trace shard at rank 0 and write the clock-aligned merged Chrome trace there (pass on every rank)")
 		watchdog  = flag.Bool("watchdog", false, "distributed mode: warn when a rank fails to reach a superstep barrier in time")
 		wdFactor  = flag.Float64("watchdog-factor", 4, "stall threshold: k x the trailing median superstep duration")
@@ -154,7 +147,7 @@ func main() {
 	}
 	if errs := validateFlags(flagValues{
 		algo: *algo, caddrs: *caddrs, ckptDir: *ckptDir, mergedOut: *mergedOut,
-		crank: *crank, ckptEvery: *ckptEvery, prefetch: *prefetch, cores: *cores,
+		crank: *crank, ckptEvery: *ckptEvery, cores: *cores,
 		resume: *resume, watchdog: *watchdog, resilient: *resilient,
 	}); len(errs) > 0 {
 		for _, e := range errs {
@@ -278,12 +271,6 @@ func main() {
 
 	loader := tsgraph.NewLoader(store)
 	loader.Chaos = inj
-	var src tsgraph.InstanceSource = loader
-	if *prefetch > 0 {
-		ps := core.NewPrefetchSource(loader, *prefetch)
-		defer ps.Close()
-		src = ps
-	}
 	// Label compute goroutines for pprof only when a live profile consumer
 	// exists (the labels allocate, so they are opt-in).
 	cfg := tsgraph.EngineConfig{CoresPerHost: *cores, ProfileLabels: *obsAddr != ""}
@@ -309,7 +296,7 @@ func main() {
 			// the Job here to reach the checkpoint fields.
 			prog := algorithms.NewTDSP(parts, srcIdx, float64(manifest.Delta), tsgraph.AttrLatency)
 			r, err = core.Run(&core.Job{
-				Template: tmpl, Parts: parts, Source: src, Program: prog,
+				Template: tmpl, Parts: parts, Source: loader, Program: prog,
 				Pattern: core.SequentiallyDependent, Config: cfg, Recorder: rec,
 				CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Resume: *resume,
 			})
@@ -317,7 +304,7 @@ func main() {
 				log.Fatal(err)
 			}
 			arrivals = prog.Arrivals(parts, tmpl)
-		} else if arrivals, r, err = tsgraph.TDSP(tmpl, parts, srcIdx, src,
+		} else if arrivals, r, err = tsgraph.TDSP(tmpl, parts, srcIdx, loader,
 			float64(manifest.Delta), tsgraph.AttrLatency, cfg, rec); err != nil {
 			log.Fatal(err)
 		}
@@ -339,7 +326,7 @@ func main() {
 		if *ckptDir != "" {
 			prog := algorithms.NewMeme(parts, *meme, tsgraph.AttrTweets)
 			r, err = core.Run(&core.Job{
-				Template: tmpl, Parts: parts, Source: src, Program: prog,
+				Template: tmpl, Parts: parts, Source: loader, Program: prog,
 				Pattern: core.SequentiallyDependent, Config: cfg, Recorder: rec,
 				CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Resume: *resume,
 			})
@@ -347,7 +334,7 @@ func main() {
 				log.Fatal(err)
 			}
 			coloredAt = prog.ColoredAt(parts, tmpl)
-		} else if coloredAt, r, err = tsgraph.TrackMeme(tmpl, parts, *meme, tsgraph.AttrTweets, src, cfg, rec); err != nil {
+		} else if coloredAt, r, err = tsgraph.TrackMeme(tmpl, parts, *meme, tsgraph.AttrTweets, loader, cfg, rec); err != nil {
 			log.Fatal(err)
 		}
 		res = r
@@ -362,7 +349,7 @@ func main() {
 		}
 		fmt.Printf("meme %s: colored %d of %d vertices\n", *meme, colored, tmpl.NumVertices())
 	case "hashtag":
-		stats, r, err := tsgraph.AggregateHashtag(tmpl, parts, *meme, tsgraph.AttrTweets, src, cfg, rec, 1)
+		stats, r, err := tsgraph.AggregateHashtag(tmpl, parts, *meme, tsgraph.AttrTweets, loader, cfg, rec, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -382,7 +369,7 @@ func main() {
 		if *algo == "bfs" {
 			attr = ""
 		}
-		dist, r, err := tsgraph.SSSP(tmpl, parts, srcIdx, src, *timestep, attr, cfg)
+		dist, r, err := tsgraph.SSSP(tmpl, parts, srcIdx, loader, *timestep, attr, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -396,7 +383,7 @@ func main() {
 		fmt.Printf("%s from %d at t%d: reached %d vertices in %d supersteps\n",
 			*algo, *source, *timestep, reached, r.Supersteps)
 	case "topn":
-		top, r, err := tsgraph.TopN(tmpl, parts, tsgraph.AttrLoad, 5, src, cfg, rec, 4)
+		top, r, err := tsgraph.TopN(tmpl, parts, tsgraph.AttrLoad, 5, loader, cfg, rec, 4)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -427,12 +414,6 @@ func main() {
 		fmt.Printf("messages: %d sent, %d dropped\n", rec.TotalMessages(), rec.TotalMsgsDropped())
 		if skew := rec.ComputeSkew(); skew > 0 {
 			fmt.Printf("compute skew: %.2fx max/median partition\n", skew)
-		}
-		if pf := rec.PrefetchedTimesteps(); pf > 0 {
-			fmt.Printf("prefetch: %d/%d timesteps served ahead; %v of %v decode hidden behind compute\n",
-				pf, rec.NumTimesteps(),
-				rec.TotalLoadOverlap().Round(time.Millisecond),
-				rec.TotalLoadFetch().Round(time.Millisecond))
 		}
 	}
 	if tracer != nil {
@@ -507,7 +488,7 @@ func runDistributed(store *tsgraph.Store, rank int, addrs []string, algo string,
 		Rank: rank, Addrs: addrs,
 		Tracer: opts.tracer, Watchdog: wd,
 		Resilience: resil, Chaos: opts.chaos,
-	}, parts, cfg)
+	}, parts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -338,6 +338,11 @@ func (e *Engine) SetTraceTimestep(ts int) { e.traceTS = int32(ts) }
 // not be called while a Run is in flight.
 func (e *Engine) SetInitialHalted(ids []subgraph.ID) { e.initialHalted = ids }
 
+// SetConfig replaces the configuration subsequent Runs use. A meshed
+// TI-BSP run builds its engine once and applies each job's config here.
+// Must not be called while a Run is in flight.
+func (e *Engine) SetConfig(cfg Config) { e.cfg = cfg }
+
 // NewEngine builds an engine over partition data from subgraph.Build.
 func NewEngine(parts []*subgraph.PartitionData, cfg Config) *Engine {
 	return NewEngineRemote(parts, cfg, nil)
@@ -349,7 +354,6 @@ func NewEngine(parts []*subgraph.PartitionData, cfg Config) *Engine {
 // remote yields a standalone engine.
 func NewEngineRemote(parts []*subgraph.PartitionData, cfg Config, remote Remote) *Engine {
 	e := &Engine{cfg: cfg, remote: remote, byPID: make(map[int]*worker, len(parts)), staged: make(map[int][]Message), traceTS: -1}
-	cores := cfg.cores()
 	for pos, pd := range parts {
 		n := len(pd.Subgraphs)
 		w := &worker{
@@ -365,7 +369,6 @@ func NewEngineRemote(parts []*subgraph.PartitionData, cfg Config, remote Remote)
 			outPtrs:  make([]*[]Message, n),
 			extras:   make([]map[string][]Extra, n),
 			durs:     make([]time.Duration, n),
-			avail:    make([]time.Duration, cores),
 			routeBuf: make([][]Message, len(parts)),
 		}
 		for i := range w.ctxs {
@@ -486,6 +489,9 @@ func (e *Engine) Run(prog Program, initial []Message, rec *metrics.TimestepRecor
 	cores := e.cfg.cores()
 	var pool sync.WaitGroup
 	for _, w := range e.workers {
+		if len(w.avail) != cores {
+			w.avail = make([]time.Duration, cores)
+		}
 		w.tasks = make(chan uint64, len(w.part.Subgraphs))
 		for c := 0; c < cores; c++ {
 			pool.Add(1)

@@ -8,9 +8,10 @@
 // A Node implements both bsp.Remote (superstep messaging and barrier) and
 // core.Coordinator (temporal exchange). NewMesh builds a rank's node and an
 // engine over the partitions the rank owns (OwnerOf), bound to each other;
-// setting the returned core.Mesh on a job is all a host needs:
+// setting the returned core.Mesh on a job is all a host needs, and the job's
+// Config configures that engine:
 //
-//	node, mesh, err := cluster.NewMesh(cluster.Config{Rank: r, Addrs: addrs}, parts, bsp.Config{})
+//	node, mesh, err := cluster.NewMesh(cluster.Config{Rank: r, Addrs: addrs}, parts)
 //	if err != nil {
 //	    return err
 //	}
@@ -18,7 +19,7 @@
 //	if err := node.Start(); err != nil { // connect the mesh
 //	    return err
 //	}
-//	res, err := algorithms.Sweep(&core.Job{Template: t, Source: src, Program: prog, Mesh: mesh})
+//	res, err := algorithms.Sweep(&core.Job{Template: t, Source: src, Program: prog, Config: cfg, Mesh: mesh})
 //
 // The barrier protocol is coordinator-free: each node sends an
 // end-of-superstep frame carrying its local stats to every peer over the
@@ -340,8 +341,9 @@ func OwnerOf(part, ranks int) int {
 // NewMesh builds rank cfg.Rank's node and an engine over the partitions of
 // parts (the full set) that the rank owns under OwnerOf, with the engine
 // bound to the node; cfg.Owner is replaced by that assignment. The caller
-// starts the node, runs jobs with the returned Mesh, and closes the node.
-func NewMesh(cfg Config, parts []*subgraph.PartitionData, bcfg bsp.Config) (*Node, *core.Mesh, error) {
+// starts the node, runs jobs with the returned Mesh, and closes the node;
+// each job's Config configures the engine for that run.
+func NewMesh(cfg Config, parts []*subgraph.PartitionData) (*Node, *core.Mesh, error) {
 	cfg.Owner = make([]int32, len(parts))
 	for p := range cfg.Owner {
 		cfg.Owner[p] = int32(OwnerOf(p, len(cfg.Addrs)))
@@ -356,7 +358,7 @@ func NewMesh(cfg Config, parts []*subgraph.PartitionData, bcfg bsp.Config) (*Nod
 	if err != nil {
 		return nil, nil, err
 	}
-	engine := bsp.NewEngineRemote(local, bcfg, n)
+	engine := bsp.NewEngineRemote(local, bsp.Config{}, n)
 	n.bind(engine)
 	return n, &core.Mesh{Node: n, Engine: engine, Local: local, Subgraphs: subgraph.TotalSubgraphs(parts)}, nil
 }

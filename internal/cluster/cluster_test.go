@@ -44,7 +44,7 @@ func mesh(tb testing.TB, n int, parts []*subgraph.PartitionData, mutate func(ran
 		if mutate != nil {
 			mutate(i, &cfg)
 		}
-		node, m, err := NewMesh(cfg, parts, bsp.Config{})
+		node, m, err := NewMesh(cfg, parts)
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -60,6 +61,31 @@ func TestPeerDeathSurfacesError(t *testing.T) {
 	}
 	if errs[0] == nil && errs[1] == nil {
 		t.Fatal("expected at least one node to report the peer death")
+	}
+}
+
+// TestMeshedJobConfigBoundsSupersteps checks that a meshed run's engine
+// takes its config from the job: a superstep bound below what the program
+// needs must stop every rank with the bound's error.
+func TestMeshedJobConfigBoundsSupersteps(t *testing.T) {
+	const k = 2
+	f := newDistFixture(t, k)
+	_, meshes := mesh(t, k, f.parts, nil)
+	errs := eachRank(k, func(r int) error {
+		_, err := core.Run(&core.Job{
+			Template: f.tmpl,
+			Source:   core.MemorySource{C: f.coll},
+			Program:  &slowDyingProgram{limit: 5},
+			Pattern:  core.SequentiallyDependent,
+			Config:   bsp.Config{MaxSupersteps: 2},
+			Mesh:     meshes[r],
+		})
+		return err
+	})
+	for r, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "exceeded 2 supersteps") {
+			t.Errorf("rank %d: err = %v, want the 2-superstep bound", r, err)
+		}
 	}
 }
 

@@ -366,45 +366,54 @@ func TestEventuallyDependentNeedsMerger(t *testing.T) {
 	}
 }
 
-func TestTemporalParallelismMatchesSequentialOutputs(t *testing.T) {
-	f := newFixture(t, 6, 2)
-	mk := func(par int) map[int]int {
-		prog := programFunc(func(ctx *Context, sg *subgraph.Subgraph, timestep, superstep int, msgs []bsp.Message) {
-			// Output depends on instance data to prove the right instance
-			// is bound to each timestep.
-			lat := ctx.Instance().EdgeFloats(ctx.Template(), gen.AttrLatency)
-			sum := 0
-			for _, lv := range sg.Verts {
-				lo, hi := sg.Part.OutEdges(int(lv))
-				for e := lo; e < hi; e++ {
-					sum += int(lat[sg.Part.EdgeGlobal[e]])
-				}
-			}
-			ctx.Output(sum)
-			ctx.VoteToHalt()
-		})
-		job := f.job(prog, Independent)
+// latencySums outputs each subgraph's summed edge latency, so the outputs
+// prove which instance was bound to each timestep.
+var latencySums = programFunc(func(ctx *Context, sg *subgraph.Subgraph, timestep, superstep int, msgs []bsp.Message) {
+	lat := ctx.Instance().EdgeFloats(ctx.Template(), gen.AttrLatency)
+	sum := 0
+	for _, lv := range sg.Verts {
+		lo, hi := sg.Part.OutEdges(int(lv))
+		for e := lo; e < hi; e++ {
+			sum += int(lat[sg.Part.EdgeGlobal[e]])
+		}
+	}
+	ctx.Output(sum)
+	ctx.VoteToHalt()
+})
+
+// requireParallelMatchesSequential runs latencySums over f's timesteps
+// with TemporalParallelism 1 and 4, each over a fresh source, and requires
+// the same per-timestep sums.
+func requireParallelMatchesSequential(t *testing.T, f *fixture, source func() InstanceSource) {
+	t.Helper()
+	sums := func(par int) map[int]int {
+		job := f.job(latencySums, Independent)
+		job.Source = source()
 		job.TemporalParallelism = par
 		res, err := Run(job)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sums := map[int]int{}
+		out := map[int]int{}
 		for _, o := range res.Outputs {
-			sums[o.Timestep] += o.Data.(int)
+			out[o.Timestep] += o.Data.(int)
 		}
-		return sums
+		return out
 	}
-	seq := mk(1)
-	par := mk(4)
-	if len(seq) != 6 || len(par) != 6 {
-		t.Fatalf("timestep coverage: %d vs %d", len(seq), len(par))
+	seq, par := sums(1), sums(4)
+	if steps := f.c.NumInstances(); len(seq) != steps || len(par) != steps {
+		t.Fatalf("timestep coverage: %d vs %d, want %d", len(seq), len(par), steps)
 	}
 	for ts := range seq {
 		if seq[ts] != par[ts] {
 			t.Errorf("timestep %d: sequential %d != parallel %d", ts, seq[ts], par[ts])
 		}
 	}
+}
+
+func TestTemporalParallelismMatchesSequentialOutputs(t *testing.T) {
+	f := newFixture(t, 6, 2)
+	requireParallelMatchesSequential(t, f, func() InstanceSource { return MemorySource{C: f.c} })
 }
 
 func TestTimestepsBound(t *testing.T) {
@@ -471,8 +480,10 @@ func TestMetricsPerTimestep(t *testing.T) {
 	}
 }
 
-func TestGoFSBackedRun(t *testing.T) {
-	f := newFixture(t, 12, 2)
+// writeStore writes the fixture's collection as a GoFS dataset (packs of
+// 5, 3 bins) and opens it.
+func (f *fixture) writeStore(t *testing.T) *gofs.Store {
+	t.Helper()
 	dir := t.TempDir()
 	a, err := (partition.Multilevel{Seed: 5}).Partition(f.g, 2)
 	if err != nil {
@@ -485,7 +496,12 @@ func TestGoFSBackedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loader := gofs.NewLoader(store)
+	return store
+}
+
+func TestGoFSBackedRun(t *testing.T) {
+	f := newFixture(t, 12, 2)
+	loader := gofs.NewLoader(f.writeStore(t))
 	prog := &countingProgram{}
 	job := f.job(prog, SequentiallyDependent)
 	job.Source = loader
@@ -500,4 +516,13 @@ func TestGoFSBackedRun(t *testing.T) {
 	if loader.Loads == 0 {
 		t.Error("GoFS loader performed no slice reads")
 	}
+}
+
+// TestGoFSLoaderUnderTemporalParallelism shares one gofs.Loader between
+// concurrent timesteps: loads that cross pack boundaries at once must
+// neither race nor bind a timestep to another timestep's instance.
+func TestGoFSLoaderUnderTemporalParallelism(t *testing.T) {
+	f := newFixture(t, 12, 2)
+	store := f.writeStore(t)
+	requireParallelMatchesSequential(t, f, func() InstanceSource { return gofs.NewLoader(store) })
 }

@@ -10,7 +10,7 @@ import (
 
 // DeltaSource is an InstanceSource that can report what changed between
 // consecutive timesteps — delta-encoded GoFS stores (gofs.Loader,
-// gofs.InstanceCache) and the prefetch pipeline over them. Delta(t) is
+// gofs.InstanceCache). Delta(t) is
 // valid after Load(t) and until a later Load leaves t's pack; nil means
 // unknown (full-format stores, the first timestep) and forces a full
 // recompute of that timestep.

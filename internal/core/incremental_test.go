@@ -86,7 +86,7 @@ func sirDataset(tb testing.TB, dir string, steps, k, snapEvery int) (*graph.Temp
 	return g, parts
 }
 
-func runMaxTags(tb testing.TB, g *graph.Template, parts []*subgraph.PartitionData, dir string, incremental bool, prefetch int) (*maxTagsProgram, *Result, *metrics.Recorder) {
+func runMaxTags(tb testing.TB, g *graph.Template, parts []*subgraph.PartitionData, dir string, incremental bool) (*maxTagsProgram, *Result, *metrics.Recorder) {
 	tb.Helper()
 	store, err := gofs.Open(dir)
 	if err != nil {
@@ -95,14 +95,13 @@ func runMaxTags(tb testing.TB, g *graph.Template, parts []*subgraph.PartitionDat
 	prog := newMaxTags(gen.AttrTweets)
 	rec := metrics.NewRecorder(len(parts))
 	res, err := Run(&Job{
-		Template:      g,
-		Parts:         parts,
-		Source:        gofs.NewLoader(store),
-		Program:       prog,
-		Pattern:       SequentiallyDependent,
-		Incremental:   incremental,
-		PrefetchDepth: prefetch,
-		Recorder:      rec,
+		Template:    g,
+		Parts:       parts,
+		Source:      gofs.NewLoader(store),
+		Program:     prog,
+		Pattern:     SequentiallyDependent,
+		Incremental: incremental,
+		Recorder:    rec,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -117,8 +116,8 @@ func TestIncrementalMatchesFullRecompute(t *testing.T) {
 	dir := t.TempDir()
 	g, parts := sirDataset(t, dir, steps, 3, 4)
 
-	fullProg, fullRes, _ := runMaxTags(t, g, parts, dir, false, 0)
-	incProg, incRes, incRec := runMaxTags(t, g, parts, dir, true, 0)
+	fullProg, fullRes, _ := runMaxTags(t, g, parts, dir, false)
+	incProg, incRes, incRec := runMaxTags(t, g, parts, dir, true)
 
 	if fullRes.SubgraphsSkipped != 0 {
 		t.Errorf("full run skipped %d subgraphs", fullRes.SubgraphsSkipped)
@@ -175,27 +174,12 @@ func TestIncrementalMatchesFullRecompute(t *testing.T) {
 	}
 }
 
-func TestIncrementalWithPrefetchMatches(t *testing.T) {
-	dir := t.TempDir()
-	g, parts := sirDataset(t, dir, 12, 3, 4)
-	fullProg, _, _ := runMaxTags(t, g, parts, dir, false, 0)
-	incProg, incRes, _ := runMaxTags(t, g, parts, dir, true, 3)
-	if incRes.SubgraphsSkipped == 0 {
-		t.Fatal("prefetched incremental run skipped nothing")
-	}
-	for sid, want := range fullProg.best {
-		if incProg.best[sid] != want {
-			t.Errorf("subgraph %v best = %d, want %d", sid, incProg.best[sid], want)
-		}
-	}
-}
-
 func TestIncrementalFullFormatRunsEverything(t *testing.T) {
 	// A v1 (full-format) dataset yields nil deltas: incremental mode is
 	// legal but must degrade to running every subgraph every timestep.
 	dir := t.TempDir()
 	g, parts := sirDataset(t, dir, 8, 2, 0)
-	prog, res, _ := runMaxTags(t, g, parts, dir, true, 0)
+	prog, res, _ := runMaxTags(t, g, parts, dir, true)
 	if res.SubgraphsSkipped != 0 {
 		t.Errorf("full-format dataset skipped %d subgraphs", res.SubgraphsSkipped)
 	}

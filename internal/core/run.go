@@ -115,7 +115,8 @@ type Job struct {
 	// for independent / eventually dependent runs (the paper's
 	// "application input messages").
 	Initial []bsp.Message
-	// Engine configuration (cores per host, superstep bound).
+	// Engine configuration (cores per host, superstep bound). A meshed run
+	// applies it to Mesh.Engine, so it is the only engine config there too.
 	Config bsp.Config
 	// Recorder, if non-nil, receives per-timestep metrics.
 	Recorder *metrics.Recorder
@@ -136,16 +137,11 @@ type Job struct {
 	// mirroring the paper's synchronized System.gc() engineering (§IV-D);
 	// 0 disables.
 	ForceGCEvery int
-	// PrefetchDepth enables pipelined instance prefetching: while timestep
-	// t computes, a background goroutine decodes up to PrefetchDepth
-	// instances ahead, overlapping GoFS pack loads with compute. 0
-	// disables (every Load is paid inline, the paper's behavior). The
-	// wrapper also serializes Source access, so non-thread-safe sources
-	// (gofs.Loader) become safe under temporal parallelism.
-	PrefetchDepth int
 	// TemporalParallelism is how many instances run concurrently for the
 	// Independent and EventuallyDependent patterns (≤1 means sequential,
-	// which is what the paper's GoFFish implementation does).
+	// which is what the paper's GoFFish implementation does). Above 1,
+	// Source.Load is called concurrently, so the source must be safe for
+	// concurrent use (MemorySource, gofs.Loader and gofs.InstanceCache are).
 	TemporalParallelism int
 	// HaltCondition, if set, is evaluated on the runner after each
 	// sequentially dependent timestep — a Master.Compute-style global
@@ -192,10 +188,10 @@ type Mesh struct {
 		Coordinator
 	}
 	// Engine is built over Local with Node as its remote, and Node
-	// delivers into it. One engine serves every run on the mesh: each
-	// barrier drains its step's frames completely, and a peer's first
-	// frames of the next run are staged by superstep until this rank gets
-	// there.
+	// delivers into it. Each run configures it from Job.Config. One engine
+	// serves every run on the mesh: each barrier drains its step's frames
+	// completely, and a peer's first frames of the next run are staged by
+	// superstep until this rank gets there.
 	Engine *bsp.Engine
 	// Local are the partitions this rank owns and runs.
 	Local []*subgraph.PartitionData
@@ -345,6 +341,7 @@ func runSequential(job *Job, steps int) (*Result, error) {
 	sgCount := subgraph.TotalSubgraphs(job.Parts)
 	if job.Mesh != nil {
 		engine, sgCount = job.Mesh.Engine, job.Mesh.Subgraphs
+		engine.SetConfig(job.Config)
 	} else {
 		engine = bsp.NewEngine(job.Parts, job.Config)
 		if job.Watchdog != nil {
@@ -356,27 +353,11 @@ func runSequential(job *Job, steps int) (*Result, error) {
 	}
 	tracer := job.tracer()
 	engine.SetTracer(tracer)
-	source := job.Source
-	// Recognize a source the caller already wrapped, so its overlap stats
-	// still flow into the per-timestep records.
-	prefetch, _ := source.(*PrefetchSource)
-	if prefetch == nil && job.PrefetchDepth > 0 {
-		prefetch = NewPrefetchSource(source, job.PrefetchDepth)
-		defer prefetch.Close()
-		source = prefetch
-	}
 	res := &Result{}
 	var inc *incrementalState
 	if job.Incremental {
-		// The wrapped source is the one Load goes through, so its Delta is
-		// the one in sync with the loads (PrefetchSource forwards deltas
-		// from its pipeline).
-		ds, ok := source.(DeltaSource)
-		if !ok {
-			return nil, fmt.Errorf("core: Incremental needs a Source implementing DeltaSource")
-		}
 		var err error
-		if inc, err = newIncrementalState(job, ds); err != nil {
+		if inc, err = newIncrementalState(job, job.Source.(DeltaSource)); err != nil {
 			return nil, err
 		}
 	}
@@ -407,24 +388,13 @@ func runSequential(job *Job, steps int) (*Result, error) {
 		wallStart := time.Now()
 
 		loadStart := time.Now()
-		ins, err := source.Load(ts)
+		ins, err := job.Source.Load(ts)
 		if err != nil {
 			return nil, fmt.Errorf("core: loading instance %d: %w", ts, err)
 		}
 		loadDur := time.Since(loadStart)
 		if tracer.Active() {
 			tracer.RecordSpan(obs.SpanLoad, -1, int32(ts), -1, 0, loadStart, loadDur)
-		}
-		if rec != nil {
-			rec.LoadFetch = loadDur
-			if prefetch != nil {
-				_, fetch, hit := prefetch.LastLoadStats()
-				rec.LoadFetch = fetch
-				rec.Prefetched = hit
-				if overlap := fetch - loadDur; overlap > 0 {
-					rec.LoadOverlapped = overlap
-				}
-			}
 		}
 
 		if inc != nil {
@@ -656,15 +626,6 @@ func runTemporallyParallel(job *Job, steps int) (*Result, error) {
 	if par > steps {
 		par = steps
 	}
-	source := job.Source
-	if job.PrefetchDepth > 0 {
-		// The pipeline shines on sequential access, but it also serializes
-		// the underlying source, making non-thread-safe loaders usable
-		// under temporal parallelism; out-of-order requests restart it.
-		prefetch := NewPrefetchSource(source, job.PrefetchDepth)
-		defer prefetch.Close()
-		source = prefetch
-	}
 
 	type stepResult struct {
 		outputs []Output
@@ -693,7 +654,7 @@ func runTemporallyParallel(job *Job, steps int) (*Result, error) {
 			}
 			wallStart := time.Now()
 			loadStart := time.Now()
-			ins, err := source.Load(ts)
+			ins, err := job.Source.Load(ts)
 			if err != nil {
 				results[ts-start].err = fmt.Errorf("core: loading instance %d: %w", ts, err)
 				return

@@ -90,7 +90,7 @@ func sameArrivals(a, b []float64) bool {
 func runChaosTDSP(ds *Dataset, parts []*subgraph.PartitionData, nodesN int, cfg bsp.Config, seed int64, rate float64) (ChaosRow, []float64, error) {
 	row := ChaosRow{FaultRate: rate}
 	injectors := make([]*chaos.Injector, nodesN)
-	g, err := startLoopback(nodesN, parts, cfg, func(i int, c *cluster.Config) {
+	g, err := startLoopback(nodesN, parts, func(i int, c *cluster.Config) {
 		if rate > 0 {
 			injectors[i] = chaos.New(seed+int64(i)).
 				SetProb(chaos.SiteWireSend, rate).

@@ -80,7 +80,7 @@ func DistributedSmoke(ds *Dataset, nodesN, k int, cfg bsp.Config, seed int64, op
 			}
 		}
 	}()
-	g, err := startLoopback(nodesN, parts, cfg, func(i int, c *cluster.Config) {
+	g, err := startLoopback(nodesN, parts, func(i int, c *cluster.Config) {
 		if opts.Trace {
 			tracers[i] = obs.NewTracer(0)
 			tracers[i].Enable()

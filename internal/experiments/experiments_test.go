@@ -339,36 +339,6 @@ func TestPackingAblation(t *testing.T) {
 	}
 }
 
-func TestPrefetchAblation(t *testing.T) {
-	road, _ := datasets(t)
-	rows, err := PrefetchAblation(road, AlgoTDSP, 3, []int{2}, t.TempDir(), 4, 2, bsp.Config{CoresPerHost: 2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	inline, pf := rows[0], rows[1]
-	if inline.Depth != 0 || pf.Depth != 2 {
-		t.Fatalf("row depths = %d,%d", inline.Depth, pf.Depth)
-	}
-	if inline.Prefetched != 0 || inline.Overlapped != 0 {
-		t.Errorf("inline row reports prefetching: %d hits, %v overlapped", inline.Prefetched, inline.Overlapped)
-	}
-	// After the first timestep the pipeline runs ahead, so most loads hit.
-	if pf.Prefetched < pf.Timesteps/2 {
-		t.Errorf("prefetched %d of %d timesteps, want at least half", pf.Prefetched, pf.Timesteps)
-	}
-	if inline.PackLoads == 0 || pf.PackLoads != inline.PackLoads {
-		t.Errorf("pack loads differ: inline %d, prefetch %d", inline.PackLoads, pf.PackLoads)
-	}
-	var buf bytes.Buffer
-	RenderPrefetch(&buf, rows)
-	if !strings.Contains(buf.String(), "prefetch") {
-		t.Error("render missing header")
-	}
-}
-
 func TestElasticHeadroom(t *testing.T) {
 	road, _ := datasets(t)
 	row, err := ElasticHeadroom(road, AlgoTDSP, 3, bsp.Config{CoresPerHost: 2}, 1)

@@ -3,15 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"strings"
 	"time"
 
-	"tsgraph/internal/algorithms"
 	"tsgraph/internal/bsp"
-	"tsgraph/internal/core"
-	"tsgraph/internal/gofs"
 )
 
 // ElasticHeadroomRow quantifies the paper's §IV-E research suggestion
@@ -74,129 +68,6 @@ func ElasticHeadroom(ds *Dataset, algo string, k int, cfg bsp.Config, seed int64
 		row.Balanced += sumC / time.Duration(k)
 	}
 	return row, nil
-}
-
-// PrefetchRow is one configuration of the instance-prefetch ablation: the
-// same GoFS-backed job with loads paid inline (Depth 0, the paper's §IV-D
-// behavior with its periodic pack-load spikes) versus decoded ahead on a
-// background goroutine (Depth > 0).
-type PrefetchRow struct {
-	Algo  string
-	Graph string
-	K     int
-	// Depth is the prefetch lookahead; 0 means loads are inline.
-	Depth int
-	// SimTime is the simulated cluster time including the load share.
-	SimTime time.Duration
-	// LoadWait is the wall time the runner was blocked on Load across all
-	// timesteps.
-	LoadWait time.Duration
-	// LoadFetch is the full decode cost across all timesteps, whether paid
-	// inline or on the background goroutine.
-	LoadFetch time.Duration
-	// Overlapped is the portion of LoadFetch hidden behind compute.
-	Overlapped time.Duration
-	// Prefetched counts timesteps whose instance was already buffered when
-	// requested.
-	Prefetched int
-	// PackLoads counts GoFS pack materializations.
-	PackLoads int
-	Timesteps int
-}
-
-// HiddenFrac returns the fraction of decode cost hidden behind compute.
-func (r PrefetchRow) HiddenFrac() float64 {
-	if r.LoadFetch == 0 {
-		return 0
-	}
-	return float64(r.Overlapped) / float64(r.LoadFetch)
-}
-
-// PrefetchAblation writes a GoFS dataset, then runs the same algorithm once
-// with inline loads and once per requested lookahead depth, quantifying how
-// much of the pack-decode cost the pipelined source hides behind compute.
-func PrefetchAblation(ds *Dataset, algo string, k int, depths []int, dir string, pack, bin int, cfg bsp.Config, seed int64) ([]PrefetchRow, error) {
-	if pack <= 0 {
-		pack = gofs.DefaultPack
-	}
-	if bin <= 0 {
-		bin = gofs.DefaultBin
-	}
-	coll := ds.Latencies
-	if algo == AlgoMeme || algo == AlgoHash {
-		coll = ds.Tweets
-	}
-	parts, a, err := buildParts(ds, k, seed)
-	if err != nil {
-		return nil, err
-	}
-	dsDir := filepath.Join(dir, fmt.Sprintf("%s_%s_k%d_prefetch", strings.ToLower(ds.Name), strings.ToLower(algo), k))
-	if err := gofs.WriteDataset(dsDir, coll, a, pack, bin); err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dsDir)
-
-	var out []PrefetchRow
-	for _, depth := range append([]int{0}, depths...) {
-		store, err := gofs.Open(dsDir)
-		if err != nil {
-			return nil, err
-		}
-		loader := gofs.NewLoader(store)
-		rec := newRecorder(k)
-		job := &core.Job{
-			Template:      ds.Template,
-			Parts:         parts,
-			Source:        loader,
-			Pattern:       core.SequentiallyDependent,
-			Config:        cfg,
-			Recorder:      rec,
-			PrefetchDepth: depth,
-		}
-		switch algo {
-		case AlgoTDSP:
-			job.Program = algorithms.NewTDSP(parts, ds.SourceVertex, ds.Delta, "latency")
-		case AlgoMeme:
-			job.Program = algorithms.NewMeme(parts, ds.Meme, "tweets")
-		default:
-			return nil, fmt.Errorf("experiments: prefetch ablation supports TDSP and MEME, not %q", algo)
-		}
-		res, err := core.Run(job)
-		if err != nil {
-			return nil, err
-		}
-		row := PrefetchRow{
-			Algo: algo, Graph: ds.Name, K: k, Depth: depth,
-			SimTime:    res.SimTime,
-			Overlapped: rec.TotalLoadOverlap(),
-			PackLoads:  loader.PackLoads,
-			Timesteps:  rec.NumTimesteps(),
-		}
-		for i := 0; i < rec.NumTimesteps(); i++ {
-			step := rec.Step(i)
-			row.LoadWait += step.Load
-			row.LoadFetch += step.LoadFetch
-			if step.Prefetched {
-				row.Prefetched++
-			}
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-// RenderPrefetch writes the prefetch ablation as text.
-func RenderPrefetch(w io.Writer, rows []PrefetchRow) {
-	fmt.Fprintf(w, "== Extension: pipelined GoFS instance prefetch (hiding §IV-D load spikes behind compute) ==\n")
-	fmt.Fprintf(w, "%-6s %-12s %4s %6s %12s %12s %12s %10s %10s %6s\n",
-		"Algo", "Graph", "K", "depth", "load wait", "load fetch", "overlapped", "hidden", "prefetched", "packs")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-6s %-12s %4d %6d %12s %12s %12s %9.1f%% %6d/%-3d %6d\n",
-			r.Algo, r.Graph, r.K, r.Depth,
-			r.LoadWait.Round(time.Microsecond), r.LoadFetch.Round(time.Microsecond),
-			r.Overlapped.Round(time.Microsecond), r.HiddenFrac()*100,
-			r.Prefetched, r.Timesteps, r.PackLoads)
-	}
 }
 
 // RenderElasticHeadroom writes the analysis as text.

@@ -5,7 +5,6 @@ import (
 	"net"
 	"sync"
 
-	"tsgraph/internal/bsp"
 	"tsgraph/internal/cluster"
 	"tsgraph/internal/core"
 	"tsgraph/internal/subgraph"
@@ -23,7 +22,7 @@ type loopbackGroup struct {
 // with cluster.NewMesh and connects the ranks concurrently. configure, when
 // non-nil, fills each rank's Config beyond Rank, Addrs and Listener. The
 // caller closes the group.
-func startLoopback(n int, parts []*subgraph.PartitionData, cfg bsp.Config, configure func(rank int, c *cluster.Config)) (*loopbackGroup, error) {
+func startLoopback(n int, parts []*subgraph.PartitionData, configure func(rank int, c *cluster.Config)) (*loopbackGroup, error) {
 	listeners := make([]net.Listener, n)
 	addrs := make([]string, n)
 	for i := range listeners {
@@ -42,7 +41,7 @@ func startLoopback(n int, parts []*subgraph.PartitionData, cfg bsp.Config, confi
 		if configure != nil {
 			configure(i, &c)
 		}
-		node, mesh, err := cluster.NewMesh(c, parts, cfg)
+		node, mesh, err := cluster.NewMesh(c, parts)
 		if err != nil {
 			g.close()
 			for _, l := range listeners[i:] {

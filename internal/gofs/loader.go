@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -94,8 +95,13 @@ func (s *Store) Timesteps() int { return s.m().Timesteps }
 // keeps the current temporal pack in memory and evicts it when a timestep
 // outside the pack is requested — the loading pattern that produces the
 // paper's periodic per-timestep time spikes.
+//
+// Load and Delta are safe for concurrent use: one mutex serializes them, so
+// concurrent timesteps take turns on the single resident pack. Read the
+// counters below once the loads they count have returned.
 type Loader struct {
 	store        *Store
+	mu           sync.Mutex // guards the cached pack and the counters
 	packStart    int
 	cached       []*graph.Instance // instances of the cached pack, or nil
 	cachedDeltas []*graph.Delta    // per cached timestep, nil for full-format stores
@@ -107,8 +113,7 @@ type Loader struct {
 	// Loads counts slice-file reads performed, for tests and reports.
 	Loads int
 	// PackLoads counts pack materializations (each one is a §IV-D load
-	// spike when paid inline; core.PrefetchSource hides it behind
-	// compute).
+	// spike, paid by the Load call that needed the pack).
 	PackLoads int
 	// LastPackDur is the decode wall time of the most recent pack
 	// materialization.
@@ -129,8 +134,11 @@ func NewLoader(s *Store) *Loader {
 }
 
 // Load returns the instance at a timestep, reading the containing pack's
-// slice files if they are not cached.
+// slice files if they are not cached. The returned instance stays valid
+// after its pack is evicted.
 func (l *Loader) Load(timestep int) (*graph.Instance, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	m := l.store.m()
 	if timestep < 0 || timestep >= m.Timesteps {
 		return nil, fmt.Errorf("gofs: timestep %d outside [0,%d)", timestep, m.Timesteps)
@@ -152,7 +160,7 @@ func (l *Loader) Load(timestep int) (*graph.Instance, error) {
 }
 
 // loadPack reads every partition's and bin's slice file for the pack
-// starting at ps and assembles full instances.
+// starting at ps and assembles full instances. Caller holds l.mu.
 func (l *Loader) loadPack(ps int) error {
 	if err := l.Chaos.Hit(chaos.SiteGoFSLoad); err != nil {
 		return fmt.Errorf("gofs: loading pack %d: %w", ps, err)
@@ -183,6 +191,8 @@ func (l *Loader) loadPack(ps int) error {
 // timestep outside the cached pack — and callers must assume everything
 // changed.
 func (l *Loader) Delta(timestep int) *graph.Delta {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.cachedDeltas == nil || timestep < l.packStart || timestep >= l.packStart+len(l.cachedDeltas) {
 		return nil
 	}
@@ -202,7 +212,7 @@ func (s *Store) ReadPack(ps int, inj *chaos.Injector) (instances []*graph.Instan
 }
 
 // ReadPackDeltas is ReadPack plus the per-timestep change summaries decoded
-// from a delta-encoded (version 2) dataset: deltas[i] describes what changed
+// from a delta-encoded dataset: deltas[i] describes what changed
 // between timesteps ps+i-1 and ps+i. Entries are nil where the store carries
 // no change information (full-format datasets, or the collection's first
 // timestep).

@@ -58,20 +58,8 @@ type TimestepRecord struct {
 	Wall time.Duration
 	// Load is the time the runner was blocked materializing the timestep's
 	// graph instance (GoFS slice reads show up here as the paper's
-	// every-10th-step spike). With instance prefetching enabled this is
-	// only the residual wait; the full decode cost is LoadFetch.
+	// every-10th-step spike).
 	Load time.Duration
-	// LoadFetch is the full decode cost of the timestep's instance,
-	// whether it was paid inline (then LoadFetch == Load) or on the
-	// prefetcher's background goroutine.
-	LoadFetch time.Duration
-	// LoadOverlapped is the portion of LoadFetch hidden behind the
-	// previous timesteps' compute by the prefetching instance source
-	// (max(LoadFetch-Load, 0) when prefetched, else 0).
-	LoadOverlapped time.Duration
-	// Prefetched reports that the instance was served by a prefetching
-	// source's pipeline rather than loaded inline.
-	Prefetched bool
 	// MsgsDropped counts messages addressed to unknown destinations that
 	// the BSP engine discarded during this timestep (a program bug made
 	// visible; see bsp.Result.MsgsDropped).
@@ -222,45 +210,11 @@ func (r *Recorder) LoadSeries() []time.Duration {
 	return r.series(func(rec *TimestepRecord) time.Duration { return rec.Load })
 }
 
-// LoadOverlapSeries returns the per-timestep decode time hidden behind
-// compute by the prefetching instance source (zero without prefetching).
-func (r *Recorder) LoadOverlapSeries() []time.Duration {
-	return r.series(func(rec *TimestepRecord) time.Duration { return rec.LoadOverlapped })
-}
-
-// TotalLoadOverlap sums the decode time hidden behind compute across all
-// timesteps.
-func (r *Recorder) TotalLoadOverlap() time.Duration {
-	var total time.Duration
-	r.forEach(func(rec *TimestepRecord) { total += rec.LoadOverlapped })
-	return total
-}
-
 // TotalLoad sums the blocked instance-load time across all timesteps.
 func (r *Recorder) TotalLoad() time.Duration {
 	var total time.Duration
 	r.forEach(func(rec *TimestepRecord) { total += rec.Load })
 	return total
-}
-
-// TotalLoadFetch sums the full instance decode cost (inline or prefetched)
-// across all timesteps.
-func (r *Recorder) TotalLoadFetch() time.Duration {
-	var total time.Duration
-	r.forEach(func(rec *TimestepRecord) { total += rec.LoadFetch })
-	return total
-}
-
-// PrefetchedTimesteps counts timesteps whose instance was served by a
-// prefetching source's pipeline.
-func (r *Recorder) PrefetchedTimesteps() int {
-	n := 0
-	r.forEach(func(rec *TimestepRecord) {
-		if rec.Prefetched {
-			n++
-		}
-	})
-	return n
 }
 
 // TotalMsgsDropped sums dropped-message counts across all timesteps.

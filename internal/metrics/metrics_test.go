@@ -198,8 +198,7 @@ func TestZeroTimestepRecorder(t *testing.T) {
 		t.Fatal("fresh recorder not empty")
 	}
 	if r.TotalWall() != 0 || r.TotalSimWall() != 0 || r.TotalSupersteps() != 0 ||
-		r.TotalMessages() != 0 || r.TotalMsgsDropped() != 0 || r.TotalLoad() != 0 ||
-		r.TotalLoadFetch() != 0 || r.TotalLoadOverlap() != 0 || r.PrefetchedTimesteps() != 0 {
+		r.TotalMessages() != 0 || r.TotalMsgsDropped() != 0 || r.TotalLoad() != 0 {
 		t.Error("zero-timestep totals not all zero")
 	}
 	if got := r.ComputeSkew(); got != 0 {
@@ -266,31 +265,16 @@ func TestCounterSeriesOutOfRangePartition(t *testing.T) {
 	}
 }
 
-func TestLoadAndPrefetchTotals(t *testing.T) {
+func TestLoadTotals(t *testing.T) {
 	r := NewRecorder(1)
-	a := r.BeginTimestep(0)
-	a.Load = 8 * time.Millisecond
-	a.LoadFetch = 8 * time.Millisecond
-	b := r.BeginTimestep(1)
-	b.Load = 1 * time.Millisecond
-	b.LoadFetch = 9 * time.Millisecond
-	b.LoadOverlapped = 8 * time.Millisecond
-	b.Prefetched = true
+	r.BeginTimestep(0).Load = 8 * time.Millisecond
+	r.BeginTimestep(1).Load = 1 * time.Millisecond
 	if got := r.TotalLoad(); got != 9*time.Millisecond {
 		t.Errorf("TotalLoad = %v", got)
 	}
-	if got := r.TotalLoadFetch(); got != 17*time.Millisecond {
-		t.Errorf("TotalLoadFetch = %v", got)
-	}
-	if got := r.TotalLoadOverlap(); got != 8*time.Millisecond {
-		t.Errorf("TotalLoadOverlap = %v", got)
-	}
-	if got := r.PrefetchedTimesteps(); got != 1 {
-		t.Errorf("PrefetchedTimesteps = %d", got)
-	}
-	overlaps := r.LoadOverlapSeries()
-	if len(overlaps) != 2 || overlaps[1] != 8*time.Millisecond {
-		t.Errorf("LoadOverlapSeries = %v", overlaps)
+	loads := r.LoadSeries()
+	if len(loads) != 2 || loads[0] != 8*time.Millisecond || loads[1] != 1*time.Millisecond {
+		t.Errorf("LoadSeries = %v", loads)
 	}
 }
 

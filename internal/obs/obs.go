@@ -193,7 +193,7 @@ func (g *Registry) Samples() []Sample {
 
 // recorderSamples converts a metrics.Recorder into exported samples: the
 // run totals, the per-partition §IV-D time decomposition, message traffic,
-// prefetch overlap, and every application counter.
+// and every application counter.
 func recorderSamples(rec *metrics.Recorder, emit func(Sample)) {
 	emit(Sample{Name: "tsgraph_timesteps_total", Help: "Timesteps recorded by the current run.", Kind: "counter", Value: float64(rec.NumTimesteps())})
 	emit(Sample{Name: "tsgraph_supersteps_total", Help: "BSP supersteps executed across all timesteps.", Kind: "counter", Value: float64(rec.TotalSupersteps())})
@@ -202,8 +202,6 @@ func recorderSamples(rec *metrics.Recorder, emit func(Sample)) {
 	emit(Sample{Name: "tsgraph_msgs_total", Help: "Messages sent across all partitions and timesteps.", Kind: "counter", Value: float64(rec.TotalMessages())})
 	emit(Sample{Name: "tsgraph_msgs_dropped_total", Help: "Messages to unknown destinations discarded by the engine.", Kind: "counter", Value: float64(rec.TotalMsgsDropped())})
 	emit(Sample{Name: "tsgraph_load_seconds_total", Help: "Time blocked materializing instances (GoFS loads).", Kind: "counter", Value: sumDurations(rec.LoadSeries())})
-	emit(Sample{Name: "tsgraph_load_overlap_seconds_total", Help: "Instance decode time hidden behind compute by prefetching.", Kind: "counter", Value: rec.TotalLoadOverlap().Seconds()})
-	emit(Sample{Name: "tsgraph_prefetched_timesteps_total", Help: "Timesteps whose instance was served by the prefetch pipeline.", Kind: "counter", Value: float64(rec.PrefetchedTimesteps())})
 	emit(Sample{Name: "tsgraph_compute_skew_ratio", Help: "Max/median per-partition total compute time (1.0 = perfectly balanced).", Kind: "gauge", Value: rec.ComputeSkew()})
 
 	for _, u := range rec.Utilizations() {

@@ -21,8 +21,6 @@ func sampleRecorder() *metrics.Recorder {
 	tr.Wall = 20 * time.Millisecond
 	tr.SimWall = 10 * time.Millisecond
 	tr.Load = 3 * time.Millisecond
-	tr.LoadOverlapped = 2 * time.Millisecond
-	tr.Prefetched = true
 	tr.MsgsDropped = 1
 	tr.Parts[0].Compute = 6 * time.Millisecond
 	tr.Parts[0].MsgsSent = 10
@@ -67,8 +65,7 @@ func TestRegistrySamplesAndPrometheus(t *testing.T) {
 		"# TYPE tsgraph_supersteps_total counter",
 		"tsgraph_supersteps_total 4",
 		"tsgraph_msgs_dropped_total 1",
-		"tsgraph_load_overlap_seconds_total 0.002",
-		"tsgraph_prefetched_timesteps_total 1",
+		"tsgraph_load_seconds_total 0.003",
 		"# TYPE tsgraph_compute_skew_ratio gauge",
 		`tsgraph_compute_seconds_total{partition="0"} 0.006`,
 		`tsgraph_msgs_sent_total{partition="0"} 10`,

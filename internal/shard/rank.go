@@ -146,7 +146,7 @@ func NewRank(cfg RankConfig) (*Rank, error) {
 		Listener:   cfg.MeshListener,
 		Tracer:     cfg.Tracer,
 		Resilience: cfg.Resilience,
-	}, cfg.Parts, r.bspCfg)
+	}, cfg.Parts)
 	if err != nil {
 		return nil, err
 	}

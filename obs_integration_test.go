@@ -75,7 +75,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	scrape := get("/metrics")
 	for _, family := range []string{
 		"tsgraph_supersteps_total",
-		"tsgraph_load_overlap_seconds_total",
+		"tsgraph_load_seconds_total",
 		"tsgraph_compute_skew_ratio",
 		"tsgraph_wire_frames_sent_total{rank=",
 		"tsgraph_wire_bytes_recv_total{rank=",
