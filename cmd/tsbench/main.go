@@ -145,7 +145,6 @@ func main() {
 				{Name: "trace.json", Write: func(w io.Writer) error { return obs.WriteChromeTrace(w, tracer) }},
 			}
 		}
-		reg.Register(bundler)
 		defer diag.ArmSIGQUIT(bundler)()
 	}
 	if *obsAddr != "" {

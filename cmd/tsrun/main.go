@@ -112,11 +112,8 @@ func main() {
 		caddrs    = flag.String("cluster-addrs", "", "comma-separated rank-ordered node addresses for a distributed run")
 		obsAddr   = flag.String("obs", "", "serve the observability endpoint (/metrics, /debug/trace, /debug/pprof) on this address, e.g. :9188")
 		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON file (load in Perfetto) at exit")
-		metrOut   = flag.String("metrics-out", "", "write a Prometheus text-format metrics snapshot at exit")
 		mergedOut = flag.String("merged-trace", "", "distributed mode: gather every rank's trace shard at rank 0 and write the clock-aligned merged Chrome trace there (pass on every rank)")
 		watchdog  = flag.Bool("watchdog", false, "distributed mode: warn when a rank fails to reach a superstep barrier in time")
-		wdFactor  = flag.Float64("watchdog-factor", 4, "stall threshold: k x the trailing median superstep duration")
-		wdMin     = flag.Duration("watchdog-min", 250*time.Millisecond, "absolute stall threshold floor")
 		chaosSpec = flag.String("chaos", "", "deterministic fault injection spec, e.g. 'seed=42,wire.send=0.01,gofs.load=at:3' (sites: wire.send, wire.recv, barrier.eos, gofs.load; arm each with a probability or at:N)")
 		resilient = flag.Bool("resilient", false, "distributed mode: resilient transport — retry failed sends with backoff, re-dial lost peers, replay unacked frames. Pass on every rank or none (the handshake differs); pair with -chaos wire faults to survive them")
 		ckptDir   = flag.String("checkpoint", "", "tdsp/meme: persist program state into this directory after each timestep boundary")
@@ -186,7 +183,6 @@ func main() {
 				{Name: "trace.json", Write: func(w io.Writer) error { return obs.WriteChromeTrace(w, tracer) }},
 			}
 		}
-		reg.Register(bundler)
 		defer diag.ArmSIGQUIT(bundler)()
 		monitor = &diag.Monitor{
 			Detectors: []*diag.Detector{
@@ -229,17 +225,6 @@ func main() {
 			f.Close()
 			fmt.Printf("wrote Chrome trace to %s (tracer %s)\n", *traceOut, tracer.Summary())
 		}
-		if *metrOut != "" {
-			f, err := os.Create(*metrOut)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := reg.WritePrometheus(f); err != nil {
-				log.Fatal(err)
-			}
-			f.Close()
-			fmt.Printf("wrote metrics snapshot to %s\n", *metrOut)
-		}
 	}()
 
 	store, err := tsgraph.OpenDataset(*in)
@@ -255,7 +240,7 @@ func main() {
 	if *crank >= 0 {
 		dopts := distOptions{
 			tracer: tracer, mergedOut: *mergedOut,
-			watchdog: *watchdog, wdFactor: *wdFactor, wdMin: *wdMin,
+			watchdog:      *watchdog,
 			profileLabels: *obsAddr != "",
 			chaos:         inj,
 			resilient:     *resilient,
@@ -426,8 +411,6 @@ type distOptions struct {
 	tracer        *obs.Tracer
 	mergedOut     string
 	watchdog      bool
-	wdFactor      float64
-	wdMin         time.Duration
 	profileLabels bool
 	chaos         *chaos.Injector
 	resilient     bool
@@ -447,10 +430,10 @@ func runDistributed(store *tsgraph.Store, rank int, addrs []string, algo string,
 	}
 	var wd *obs.Watchdog
 	if opts.watchdog {
+		// Stall threshold: obs.WatchdogConfig's defaults, 4x the trailing
+		// median superstep, floored at 250ms.
 		wd = obs.NewWatchdog(obs.WatchdogConfig{
 			Parties: len(addrs),
-			Factor:  opts.wdFactor,
-			MinWait: opts.wdMin,
 			Tracer:  opts.tracer,
 			Describe: func(party int) string {
 				var owned []int

@@ -83,10 +83,6 @@ func main() {
 		logLevel      = flag.String("log-level", "info", "structured log level: debug | info | warn | error (debug logs every request)")
 		logFormat     = flag.String("log-format", "text", "structured log format: text | json")
 		traceSlow     = flag.Duration("trace-slow", time.Second, "retain the lifecycle trace of any query at least this slow")
-		flightCap     = flag.Int("flight-retain", 64, "retained traces kept in the flight recorder (FIFO eviction)")
-		headRate      = flag.Float64("head-sample", 0.01, "fraction of ordinary queries whose traces are retained as a healthy baseline")
-		sloTarget     = flag.Duration("slo-target", 0, "SLO latency target (0 = -trace-slow)")
-		sloBudget     = flag.Float64("slo-error-budget", 0.01, "tolerated bad-request fraction for the SLO burn rate")
 		ingestOn      = flag.Bool("ingest", false, "accept live mutations on POST /ingest (delta-encoded datasets only); replays the WAL before serving")
 		ingestLag     = flag.Duration("ingest-lag", 0, "with -ingest and -bundle-dir: trip the watermark-lag anomaly detector when no append published for this long (0 disables)")
 		routerOn      = flag.Bool("router", false, "run as sharded-serving router: scatter queries over the -ranks replica groups, merge partials")
@@ -101,11 +97,9 @@ func main() {
 		chaosSpec = flag.String("chaos", "", "chaos spec armed on instance loads, e.g. 'gofs.load=at:3' (site: gofs.load)")
 		chaosWait = flag.Duration("chaos-delay", 100*time.Millisecond, "with -chaos: stall a faulted instance load this long instead of failing it")
 
-		bundleDir     = flag.String("bundle-dir", "", "directory for diagnostic bundles; arms the anomaly detectors, SIGQUIT capture, and /debug/bundle (empty disables)")
-		bundleRetain  = flag.Int("bundle-retain", 8, "diagnostic bundles kept on disk (oldest deleted first)")
-		bundleProfile = flag.Duration("bundle-profile", 2*time.Second, "CPU profile window captured into each bundle")
-		diagInterval  = flag.Duration("diag-interval", 5*time.Second, "anomaly-detector evaluation cadence")
-		version       = flag.Bool("version", false, "print build identity and exit")
+		bundleDir    = flag.String("bundle-dir", "", "directory for diagnostic bundles; arms the anomaly detectors, SIGQUIT capture, and /debug/bundle (empty disables)")
+		bundleRetain = flag.Int("bundle-retain", 8, "diagnostic bundles kept on disk (oldest deleted first)")
+		version      = flag.Bool("version", false, "print build identity and exit")
 	)
 	flag.Parse()
 	if *version {
@@ -218,13 +212,13 @@ func main() {
 	reg := obs.NewRegistry(tracer)
 	reg.Register(obs.ReadBuildInfo())
 
+	// Head-sample 1% of ordinary queries as a healthy baseline; the
+	// flight-recorder cap (64), the SLO target (-trace-slow) and its error
+	// budget (1%) are live.Config's defaults.
 	recorder := live.NewRecorder(live.Config{
 		Classes:        serve.ClassNames(),
 		SlowThreshold:  *traceSlow,
-		HeadSampleRate: *headRate,
-		RetainCap:      *flightCap,
-		SLOTarget:      *sloTarget,
-		SLOErrorBudget: *sloBudget,
+		HeadSampleRate: 0.01,
 	})
 
 	opt := serve.Options{
@@ -298,10 +292,9 @@ func main() {
 	if *bundleDir != "" {
 		bundler = &diag.Bundler{
 			Dir: *bundleDir, Tool: "tsserve",
-			MaxBundles:      *bundleRetain,
-			ProfileDuration: *bundleProfile,
-			Registry:        reg,
-			LogRing:         logRing,
+			MaxBundles: *bundleRetain,
+			Registry:   reg,
+			LogRing:    logRing,
 		}
 		extras = diag.Endpoints(bundler)
 	}
@@ -315,7 +308,6 @@ func main() {
 			diag.HandlerSection("stats.json", mux, "/stats"),
 			{Name: "trace.json", Write: func(w io.Writer) error { return obs.WriteChromeTrace(w, tracer) }},
 		}
-		reg.Register(bundler)
 
 		// Detectors read the signals the serving layer already maintains; a
 		// trip snapshots the process while the anomaly is still hot.
@@ -343,7 +335,6 @@ func main() {
 			&diag.Detector{Name: "goroutines", Signal: sampler.Goroutines, Factor: 3, Min: 200, Consecutive: 2},
 			&diag.Detector{Name: "heap_bytes", Signal: sampler.HeapBytes, Factor: 2.5, Min: 256 << 20, Consecutive: 2})
 		monitor := &diag.Monitor{
-			Interval:  *diagInterval,
 			Detectors: detectors,
 			OnTrip: func(evs []diag.Evidence) {
 				for _, ev := range evs {
@@ -370,7 +361,7 @@ func main() {
 		monitor.Start()
 		defer monitor.Close()
 		defer diag.ArmSIGQUIT(bundler)()
-		fmt.Printf("tsserve: diagnostics armed: bundles in %s, detectors every %v\n", *bundleDir, *diagInterval)
+		fmt.Printf("tsserve: diagnostics armed: bundles in %s\n", *bundleDir)
 	}
 
 	httpSrv := &http.Server{Handler: mux}

@@ -114,7 +114,6 @@ func runShardRank(store *gofs.Store, layout shard.Layout, rankN int, addr string
 
 	reg := obs.NewRegistry(tracer)
 	reg.Register(obs.ReadBuildInfo())
-	reg.Register(rank)
 	reg.Register(store.Telemetry())
 	if n := rank.Node(); n != nil {
 		reg.Register(n)

@@ -89,7 +89,8 @@ func TestChaosSendFaultReconnectsAndMatches(t *testing.T) {
 	got := runDistributedTDSP(t, f, meshes)
 	requireSameArrivals(t, want, got)
 
-	retries, reconnects, _, _, _ := nodes[1].RecoveryStats()
+	rc := nodes[1].Recovery()
+	retries, reconnects := rc.Retries, rc.Reconnects
 	if retries < 1 || reconnects < 1 {
 		t.Fatalf("rank 1 retries=%d reconnects=%d, want >=1 each after injected send fault", retries, reconnects)
 	}
@@ -116,8 +117,7 @@ func TestChaosRecvFaultReconnectsAndMatches(t *testing.T) {
 
 	var reconnects int64
 	for _, n := range nodes {
-		_, rc, _, _, _ := n.RecoveryStats()
-		reconnects += rc
+		reconnects += n.Recovery().Reconnects
 	}
 	if reconnects < 1 {
 		t.Fatalf("no rank reconnected after injected receive fault")
@@ -143,7 +143,8 @@ func TestChaosBarrierFaultReconnectsAndMatches(t *testing.T) {
 	got := runDistributedTDSP(t, f, meshes)
 	requireSameArrivals(t, want, got)
 
-	retries, reconnects, _, _, _ := nodes[0].RecoveryStats()
+	rc := nodes[0].Recovery()
+	retries, reconnects := rc.Retries, rc.Reconnects
 	if retries < 1 || reconnects < 1 {
 		t.Fatalf("rank 0 retries=%d reconnects=%d, want >=1 each after injected barrier fault", retries, reconnects)
 	}
@@ -174,7 +175,7 @@ func TestChaosRandomFaultsStillCorrect(t *testing.T) {
 
 	for r, inj := range injectors {
 		stats := inj.Stats()
-		retries, _, _, _, _ := nodes[r].RecoveryStats()
+		retries := nodes[r].Recovery().Retries
 		if fired := stats[chaos.SiteWireSend][1]; fired > 0 && retries == 0 {
 			t.Errorf("rank %d: %d send faults fired but no retries recorded", r, fired)
 		}

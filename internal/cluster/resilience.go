@@ -347,19 +347,11 @@ func (n *Node) isClosed() bool {
 	return n.closed
 }
 
-// RecoveryStats reports the transport's fault-handling counters: send
-// retries, successful reconnects, inbound duplicate frames discarded by the
-// replay dedup, completed recovery incidents, and the total time spent with
-// a peer down.
-func (n *Node) RecoveryStats() (retries, reconnects, dups, recoveries int64, downTime time.Duration) {
-	return n.retriesTotal.Load(), n.reconnectsTotal.Load(), n.dupFrames.Load(),
-		n.recoveries.Load(), time.Duration(n.recoveryNanos.Load())
-}
-
-// RecoveryCounters is the full fault-handling counter snapshot, including
-// the nack/replay traffic that RecoveryStats predates: nacks tell a sender
-// its frames may sit in dead kernel buffers, replayed frames are the
-// resend-ring traffic that repairs the loss.
+// RecoveryCounters is the transport's fault-handling counter snapshot:
+// send retries, successful reconnects, inbound duplicate frames discarded
+// by the replay dedup, resend-ring replays, nack traffic (a nack tells a
+// sender its frames may sit in dead kernel buffers), completed recovery
+// incidents, and the total time spent with a peer down.
 type RecoveryCounters struct {
 	Retries        int64
 	Reconnects     int64

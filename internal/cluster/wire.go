@@ -70,9 +70,10 @@ func (n *Node) WireStats() []PeerWireStats {
 }
 
 // CollectObs implements obs.Collector, exporting the per-peer wire counters
-// for /metrics scrapes. The self rank is skipped (no link to count). Samples
-// carry both a rank (this node) and peer label so several in-process nodes
-// can share one registry, as the loopback smoke experiment does.
+// and the transport's recovery counters for /metrics scrapes. The self rank
+// is skipped (no link to count). Samples carry both a rank (this node) and
+// peer label so several in-process nodes can share one registry, as the
+// loopback smoke experiment does.
 func (n *Node) CollectObs(emit func(obs.Sample)) {
 	rank := strconv.Itoa(n.cfg.Rank)
 	for _, ws := range n.WireStats() {
@@ -82,20 +83,12 @@ func (n *Node) CollectObs(emit func(obs.Sample)) {
 		labels := []obs.Label{{Key: "rank", Value: rank}, {Key: "peer", Value: strconv.Itoa(ws.Peer)}}
 		emit(obs.Sample{Name: "tsgraph_wire_frames_sent_total", Help: "Frames sent to each peer rank.", Kind: "counter", Labels: labels, Value: float64(ws.FramesSent)})
 		emit(obs.Sample{Name: "tsgraph_wire_bytes_sent_total", Help: "Bytes sent to each peer rank (gob-encoded frames).", Kind: "counter", Labels: labels, Value: float64(ws.BytesSent)})
-		emit(obs.Sample{Name: "tsgraph_wire_flush_seconds_total", Help: "Time spent encoding and writing frames to each peer rank.", Kind: "counter", Labels: labels, Value: ws.FlushTime.Seconds()})
-		emit(obs.Sample{Name: "tsgraph_wire_frames_recv_total", Help: "Frames received from each peer rank.", Kind: "counter", Labels: labels, Value: float64(ws.FramesRecv)})
 		emit(obs.Sample{Name: "tsgraph_wire_bytes_recv_total", Help: "Bytes received from each peer rank.", Kind: "counter", Labels: labels, Value: float64(ws.BytesRecv)})
 	}
+	// When a shard rank dies under load, these counters are how the
+	// failover shows up on /metrics (reconnects, resend-ring replays, nack
+	// traffic).
 	rankOnly := []obs.Label{{Key: "rank", Value: rank}}
-	retries, reconnects, dups, recoveries, downTime := n.RecoveryStats()
-	emit(obs.Sample{Name: "tsgraph_wire_retries_total", Help: "Frame sends retried after a wire failure.", Kind: "counter", Labels: rankOnly, Value: float64(retries)})
-	emit(obs.Sample{Name: "tsgraph_reconnects_total", Help: "Peer connections successfully re-established after a failure.", Kind: "counter", Labels: rankOnly, Value: float64(reconnects)})
-	emit(obs.Sample{Name: "tsgraph_wire_dup_frames_total", Help: "Replayed duplicate frames discarded by receive-side dedup.", Kind: "counter", Labels: rankOnly, Value: float64(dups)})
-	emit(obs.Sample{Name: "tsgraph_recoveries_total", Help: "Inbound peer connections that went down and came back.", Kind: "counter", Labels: rankOnly, Value: float64(recoveries)})
-	emit(obs.Sample{Name: "tsgraph_recovery_seconds_total", Help: "Cumulative time inbound peer connections spent down before recovering.", Kind: "counter", Labels: rankOnly, Value: downTime.Seconds()})
-	// The tscluster_* family is the serving-tier view of the same transport:
-	// when a shard rank dies under load, these counters are how the failover
-	// shows up on /metrics (reconnects, resend-ring replays, nack traffic).
 	rc := n.Recovery()
 	emit(obs.Sample{Name: "tscluster_retries_total", Help: "Cluster transport sends retried after a wire failure.", Kind: "counter", Labels: rankOnly, Value: float64(rc.Retries)})
 	emit(obs.Sample{Name: "tscluster_reconnects_total", Help: "Cluster peer connections re-established after a failure.", Kind: "counter", Labels: rankOnly, Value: float64(rc.Reconnects)})
@@ -105,15 +98,4 @@ func (n *Node) CollectObs(emit func(obs.Sample)) {
 	emit(obs.Sample{Name: "tscluster_dup_frames_total", Help: "Replayed duplicate frames discarded by receive-side dedup.", Kind: "counter", Labels: rankOnly, Value: float64(rc.DupFrames)})
 	emit(obs.Sample{Name: "tscluster_recoveries_total", Help: "Inbound peer connections that went down and came back.", Kind: "counter", Labels: rankOnly, Value: float64(rc.Recoveries)})
 	emit(obs.Sample{Name: "tscluster_down_seconds_total", Help: "Cumulative time inbound peer connections spent down before recovering.", Kind: "counter", Labels: rankOnly, Value: rc.DownTime.Seconds()})
-	for r, off := range n.ClockOffsets() {
-		if r == n.cfg.Rank {
-			continue
-		}
-		emit(obs.Sample{
-			Name: "tsgraph_wire_clock_offset_seconds", Help: "Estimated peer clock minus local clock (NTP-midpoint probe, best-RTT sample).",
-			Kind:   "gauge",
-			Labels: []obs.Label{{Key: "rank", Value: rank}, {Key: "peer", Value: strconv.Itoa(r)}},
-			Value:  off.Seconds(),
-		})
-	}
 }

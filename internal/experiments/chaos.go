@@ -146,12 +146,12 @@ func runChaosTDSP(ds *Dataset, parts []*subgraph.PartitionData, nodesN int, cfg 
 
 	var downTotal time.Duration
 	for r, n := range g.nodes {
-		retries, reconnects, dups, recoveries, down := n.RecoveryStats()
-		row.Retries += retries
-		row.Reconnects += reconnects
-		row.DupFrames += dups
-		row.Recoveries += recoveries
-		downTotal += down
+		rc := n.Recovery()
+		row.Retries += rc.Retries
+		row.Reconnects += rc.Reconnects
+		row.DupFrames += rc.DupFrames
+		row.Recoveries += rc.Recoveries
+		downTotal += rc.DownTime
 		if walls[r] > row.Wall {
 			row.Wall = walls[r]
 		}

@@ -353,6 +353,14 @@ func TestElasticHeadroom(t *testing.T) {
 	if row.IdleSteps == 0 {
 		t.Error("expected idle host-timesteps during the wave")
 	}
+	// Idleness is counted from work, so a second run agrees exactly.
+	again, err := ElasticHeadroom(road, AlgoTDSP, 3, bsp.Config{CoresPerHost: 2}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.IdleSteps != row.IdleSteps {
+		t.Errorf("idle steps %d then %d: not repeatable", row.IdleSteps, again.IdleSteps)
+	}
 	if row.Balanced >= row.Actual {
 		t.Errorf("balanced %v not below actual %v", row.Balanced, row.Actual)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tsgraph/internal/bsp"
+	"tsgraph/internal/metrics"
 )
 
 // ElasticHeadroomRow quantifies the paper's §IV-E research suggestion
@@ -24,9 +25,10 @@ type ElasticHeadroomRow struct {
 	// Balanced is the idealized time with compute perfectly spread (sum of
 	// per-timestep mean host compute).
 	Balanced time.Duration
-	// IdleSteps counts (timestep, host) pairs whose compute is under 5% of
-	// that timestep's busiest host — the near-idle VMs the paper suggests
-	// spinning down or stealing subgraphs from.
+	// IdleSteps counts (timestep, host) pairs that did no work: no message
+	// sent or received and every application counter zero — the idle VMs
+	// the paper suggests spinning down or stealing subgraphs from. It is
+	// counted from work, not measured time, so it repeats run to run.
 	IdleSteps  int
 	TotalPairs int
 }
@@ -60,7 +62,7 @@ func ElasticHeadroom(ds *Dataset, algo string, k int, cfg bsp.Config, seed int64
 		}
 		for p := range step.Parts {
 			row.TotalPairs++
-			if maxC > 0 && step.Parts[p].Compute < maxC/20 {
+			if idle(&step.Parts[p]) {
 				row.IdleSteps++
 			}
 		}
@@ -68,6 +70,19 @@ func ElasticHeadroom(ds *Dataset, algo string, k int, cfg bsp.Config, seed int64
 		row.Balanced += sumC / time.Duration(k)
 	}
 	return row, nil
+}
+
+// idle reports whether a partition did no work in a timestep.
+func idle(ps *metrics.PartitionStep) bool {
+	if ps.MsgsSent != 0 || ps.MsgsRecv != 0 {
+		return false
+	}
+	for _, v := range ps.Counters {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // RenderElasticHeadroom writes the analysis as text.

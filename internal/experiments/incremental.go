@@ -56,7 +56,7 @@ func (r IncrementalStorageRow) Speedup() float64 {
 // varying the store format and the scheduler.
 type IncrementalComputeRow struct {
 	Mode  string // full-store | delta-store | delta+incremental
-	Store string // v1 | v2
+	Store string // full | delta
 	// Wall is the end-to-end wall time of core.Run.
 	Wall time.Duration
 	// SimTime is the simulated cluster time.
@@ -224,9 +224,9 @@ func IncrementalAblation(ds *Dataset, churns []float64, k int, dir string, pack,
 		mode, store, dir string
 		incremental      bool
 	}{
-		{"full-store", "v1", fullDir, false},
-		{"delta-store", "v2", deltaDir, false},
-		{"delta+incremental", "v2", deltaDir, true},
+		{"full-store", "full", fullDir, false},
+		{"delta-store", "delta", deltaDir, false},
+		{"delta+incremental", "delta", deltaDir, true},
 	}
 	var baseline []int32
 	for _, m := range modes {

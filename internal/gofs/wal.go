@@ -48,10 +48,6 @@ const (
 // concurrent use.
 type WAL struct {
 	path string
-	// OnFsync, when set, observes each real fsync's wall time (the ingest
-	// tier's WAL latency histogram hangs off this). One group commit
-	// reports one fsync however many records it covered.
-	OnFsync func(time.Duration)
 	// GroupWindow, when positive, holds a group leader's fsync open this
 	// long so concurrent stagers can join the group. Zero still group-
 	// commits naturally: stagers arriving while a leader's fsync is in
@@ -232,9 +228,7 @@ func (w *WAL) Sync(seq int64) error {
 	f := w.f
 	w.mu.Unlock()
 
-	syncStart := time.Now()
 	err := f.Sync()
-	dur := time.Since(syncStart)
 
 	w.mu.Lock()
 	w.syncing = false
@@ -253,9 +247,6 @@ func (w *WAL) Sync(seq int64) error {
 	covered := w.synced >= seq
 	w.mu.Unlock()
 
-	if err == nil && w.OnFsync != nil {
-		w.OnFsync(dur)
-	}
 	if stickyErr != nil && !covered {
 		return fmt.Errorf("gofs: WAL sync: %w", stickyErr)
 	}

@@ -77,7 +77,7 @@ func Open(store *gofs.Store, opt Options) (*Ingester, error) {
 	if opt.WALRotateRecords <= 0 {
 		opt.WALRotateRecords = 64
 	}
-	met := newMetrics()
+	met := &Metrics{}
 	if _, _, err := store.TrimSuperseded(); err != nil {
 		return nil, err
 	}
@@ -90,7 +90,6 @@ func Open(store *gofs.Store, opt Options) (*Ingester, error) {
 		app.Close()
 		return nil, err
 	}
-	wal.OnFsync = met.walFsync.Observe
 	wal.GroupWindow = opt.GroupCommitWindow
 	ing := &Ingester{store: store, met: met, opt: opt, app: app, wal: wal}
 	if err := ing.replay(recovered); err != nil {
@@ -98,7 +97,6 @@ func Open(store *gofs.Store, opt Options) (*Ingester, error) {
 		return nil, err
 	}
 	met.watermark.Store(int64(store.Timesteps()))
-	met.walBytes.Store(wal.Size())
 	return ing, nil
 }
 
@@ -162,7 +160,7 @@ func (i *Ingester) Apply(mut *Mutation) (watermark int, err error) {
 		}
 	}()
 	i.mu.Lock()
-	wm, seq, walDur, err := i.applyLocked(mut)
+	wm, seq, err := i.applyLocked(mut)
 	i.mu.Unlock()
 	if err != nil {
 		return 0, err
@@ -172,7 +170,6 @@ func (i *Ingester) Apply(mut *Mutation) (watermark int, err error) {
 	// a reported-successful append must replay even if the publish had been
 	// torn. Waiting here, outside the mutex, is what lets concurrent
 	// appends coalesce into one fsync.
-	syncStart := time.Now()
 	if serr := i.wal.Sync(seq); serr != nil {
 		// The fsync failed, so the WAL's on-disk state is unknown; refuse
 		// further appends rather than risk a replay that disagrees with the
@@ -186,45 +183,39 @@ func (i *Ingester) Apply(mut *Mutation) (watermark int, err error) {
 		i.mu.Unlock()
 		return 0, serr
 	}
-	i.met.observeStage(stageWAL, walDur+time.Since(syncStart))
 	return wm, nil
 }
 
 // applyLocked validates, stages the WAL record, folds, and publishes one
 // mutation. Callers hold i.mu and must then Sync the returned sequence
-// before acking. walDur is the time spent writing the WAL frame.
-func (i *Ingester) applyLocked(mut *Mutation) (watermark int, seq int64, walDur time.Duration, err error) {
+// before acking.
+func (i *Ingester) applyLocked(mut *Mutation) (watermark int, seq int64, err error) {
 	if i.broken != nil {
-		return 0, 0, 0, fmt.Errorf("ingest: halted after earlier failure: %w", i.broken)
+		return 0, 0, fmt.Errorf("ingest: halted after earlier failure: %w", i.broken)
 	}
 
 	head := i.store.Timesteps()
 	if mut.Timestep != nil && *mut.Timestep != head {
-		return 0, 0, 0, fmt.Errorf("%w: mutation for timestep %d, next is %d", ErrTimestepGap, *mut.Timestep, head)
+		return 0, 0, fmt.Errorf("%w: mutation for timestep %d, next is %d", ErrTimestepGap, *mut.Timestep, head)
 	}
 
 	// Validate and compile before anything touches disk: a WAL record is
 	// only written for a mutation that is guaranteed to fold on replay.
-	stageStart := time.Now()
 	ops, err := compile(i.store.Template(), mut)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
-	i.met.observeStage(stageValidate, time.Since(stageStart))
 
 	ts := head
 	mut.Timestep = &ts
 	payload, err := json.Marshal(mut)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
-	stageStart = time.Now()
 	seq, err = i.wal.Stage(payload)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
-	walDur = time.Since(stageStart)
-	i.met.walBytes.Store(i.wal.Size())
 
 	wm, err := i.foldLocked(ops)
 	if err != nil {
@@ -235,7 +226,7 @@ func (i *Ingester) applyLocked(mut *Mutation) (watermark int, seq int64, walDur 
 		if rerr := i.wal.Reset(nil); rerr != nil {
 			i.broken = rerr
 		}
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 
 	i.sinceReset++
@@ -248,8 +239,7 @@ func (i *Ingester) applyLocked(mut *Mutation) (watermark int, seq int64, walDur 
 			i.sinceReset = 0
 		}
 	}
-	i.met.walBytes.Store(i.wal.Size())
-	return wm, seq, walDur, nil
+	return wm, seq, nil
 }
 
 // foldLocked folds one compiled mutation into a new head instance and
@@ -259,7 +249,6 @@ func (i *Ingester) foldLocked(ops []patchOp) (int, error) {
 	m := i.store.Manifest()
 	head := m.Timesteps
 
-	stageStart := time.Now()
 	var ins *graph.Instance
 	if prev := i.app.Head(); prev != nil {
 		ins = prev.Clone()
@@ -269,13 +258,9 @@ func (i *Ingester) foldLocked(ops []patchOp) (int, error) {
 		ins = graph.NewInstance(t, head, m.T0)
 	}
 	apply(ins, ops)
-	i.met.observeStage(stageFold, time.Since(stageStart))
-
-	stageStart = time.Now()
 	if err := i.app.Append(ins); err != nil {
 		return 0, err
 	}
-	i.met.observeStage(stagePublish, time.Since(stageStart))
 	wm := i.store.Timesteps()
 	i.met.watermark.Store(int64(wm))
 	i.met.lastAppendNS.Store(time.Now().UnixNano())

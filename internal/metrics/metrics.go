@@ -229,13 +229,6 @@ func (r *Recorder) SimWallSeries() []time.Duration {
 	return r.series(func(rec *TimestepRecord) time.Duration { return rec.SimWall })
 }
 
-// TotalSimWall sums simulated cluster time across all timesteps.
-func (r *Recorder) TotalSimWall() time.Duration {
-	var total time.Duration
-	r.forEach(func(rec *TimestepRecord) { total += rec.SimWall })
-	return total
-}
-
 // CounterSeries returns, for one partition, the per-timestep values of a
 // named counter (Fig 7a/7c). Gaps and out-of-range partitions read as zero.
 func (r *Recorder) CounterSeries(part int, name string) []int64 {

@@ -35,9 +35,6 @@ func TestRecorderBasics(t *testing.T) {
 	if r.TotalWall() != 150*time.Millisecond {
 		t.Errorf("TotalWall = %v", r.TotalWall())
 	}
-	if r.TotalSimWall() != 60*time.Millisecond {
-		t.Errorf("TotalSimWall = %v", r.TotalSimWall())
-	}
 	if r.TotalSupersteps() != 6 {
 		t.Errorf("TotalSupersteps = %d", r.TotalSupersteps())
 	}
@@ -158,9 +155,6 @@ func TestSparseOutOfOrderTimesteps(t *testing.T) {
 	if got := r.TotalWall(); got != 40*time.Millisecond {
 		t.Errorf("TotalWall = %v", got)
 	}
-	if got := r.TotalSimWall(); got != 10*time.Millisecond {
-		t.Errorf("TotalSimWall = %v", got)
-	}
 	if got := r.TotalMessages(); got != 3 {
 		t.Errorf("TotalMessages = %d", got)
 	}
@@ -197,7 +191,7 @@ func TestZeroTimestepRecorder(t *testing.T) {
 	if r.NumTimesteps() != 0 || r.RecordedTimesteps() != 0 {
 		t.Fatal("fresh recorder not empty")
 	}
-	if r.TotalWall() != 0 || r.TotalSimWall() != 0 || r.TotalSupersteps() != 0 ||
+	if r.TotalWall() != 0 || r.TotalSupersteps() != 0 ||
 		r.TotalMessages() != 0 || r.TotalMsgsDropped() != 0 || r.TotalLoad() != 0 {
 		t.Error("zero-timestep totals not all zero")
 	}
@@ -248,9 +242,6 @@ func TestSinglePartitionAggregations(t *testing.T) {
 	// Single partition: max == median, perfectly balanced by definition.
 	if got := r.ComputeSkew(); got != 1.0 {
 		t.Errorf("ComputeSkew = %v, want 1.0", got)
-	}
-	if got := r.TotalSimWall(); got != 100*time.Millisecond {
-		t.Errorf("TotalSimWall = %v", got)
 	}
 }
 

@@ -85,8 +85,6 @@ type Bundler struct {
 	last     time.Time
 	inflight bool
 	seq      int
-	captures uint64
-	limited  uint64
 }
 
 func (b *Bundler) now() time.Time {
@@ -116,7 +114,6 @@ func (b *Bundler) Capture(tr Trigger) (string, error) {
 			interval = time.Minute
 		}
 		if !b.last.IsZero() && now.Sub(b.last) < interval {
-			b.limited++
 			b.mu.Unlock()
 			return "", ErrRateLimited
 		}
@@ -131,9 +128,6 @@ func (b *Bundler) Capture(tr Trigger) (string, error) {
 
 	b.mu.Lock()
 	b.inflight = false
-	if err == nil {
-		b.captures++
-	}
 	b.mu.Unlock()
 	return path, err
 }
@@ -349,20 +343,4 @@ func (b *Bundler) enforceRetention() {
 			os.Remove(filepath.Join(b.Dir, info.Name))
 		}
 	}
-}
-
-// Counters reports capture/rate-limit totals (exported via CollectObs).
-func (b *Bundler) Counters() (captures, limited uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.captures, b.limited
-}
-
-// CollectObs implements obs.Collector.
-func (b *Bundler) CollectObs(emit func(obs.Sample)) {
-	captures, limited := b.Counters()
-	emit(obs.Sample{Name: "tsgraph_diag_bundles_total", Help: "Diagnostic bundles captured.",
-		Kind: "counter", Value: float64(captures)})
-	emit(obs.Sample{Name: "tsgraph_diag_bundles_rate_limited_total", Help: "Detector-triggered captures suppressed by the rate limit.",
-		Kind: "counter", Value: float64(limited)})
 }

@@ -122,8 +122,8 @@ func TestBundleCaptureContents(t *testing.T) {
 	} else if len(sum.SampleTypes) == 0 {
 		t.Errorf("cpu.pprof has no sample types")
 	}
-	if b.captures != 1 {
-		t.Fatalf("captures = %d", b.captures)
+	if bs, err := b.List(); err != nil || len(bs) != 1 {
+		t.Fatalf("bundles listed = %v, %v; want one", bs, err)
 	}
 }
 
@@ -147,9 +147,6 @@ func TestBundleRateLimit(t *testing.T) {
 	now = now.Add(2 * time.Minute)
 	if _, err := b.Capture(Trigger{Cause: "detector"}); err != nil {
 		t.Fatalf("detector capture after interval: %v", err)
-	}
-	if _, limited := b.Counters(); limited != 1 {
-		t.Fatalf("limited = %d, want 1", limited)
 	}
 }
 

@@ -115,9 +115,6 @@ type Config struct {
 	SLOTarget      time.Duration
 	SLOErrorBudget float64
 
-	// MetricPrefix prefixes exported metric families (default "tsserve").
-	MetricPrefix string
-
 	// Now is the clock (nil = time.Now); injectable so retention and
 	// burn-rate behavior are testable under a seeded clock.
 	Now func() time.Time
@@ -234,9 +231,6 @@ func NewRecorder(cfg Config) *Recorder {
 	}
 	if cfg.SLOErrorBudget <= 0 {
 		cfg.SLOErrorBudget = 0.01
-	}
-	if cfg.MetricPrefix == "" {
-		cfg.MetricPrefix = "tsserve"
 	}
 	now := cfg.Now
 	if now == nil {
@@ -521,44 +515,25 @@ func (r *Recorder) Counters() (total, dropped, evicted, retained uint64) {
 }
 
 // CollectObs implements obs.Collector: the per-class/per-stage latency
-// histograms, the flight-recorder retention accounting, and the SLO
-// family.
+// histograms, the flight-recorder query and drop counts, and the SLO
+// target and burn rate.
 func (r *Recorder) CollectObs(emit func(obs.Sample)) {
 	if r == nil {
 		return
 	}
-	p := r.cfg.MetricPrefix
 	for c, name := range r.classes {
 		for st, stageName := range histStageNames {
-			r.hists[c][st].Emit(emit, p+"_latency_seconds",
+			r.hists[c][st].Emit(emit, "tsserve_latency_seconds",
 				"Query latency by class and lifecycle stage (log-bucketed).",
 				[]obs.Label{{Key: "class", Value: name}, {Key: "stage", Value: stageName}})
 		}
 	}
-	total, dropped, evicted, retainedTotal := r.Counters()
-	r.mu.Lock()
-	resident := len(r.retained)
-	r.mu.Unlock()
-	emit(obs.Sample{Name: p + "_flight_queries_total", Help: "Queries whose lifecycle trace completed.",
-		Kind: "counter", Value: float64(total)})
-	emit(obs.Sample{Name: p + "_flight_dropped_traces_total", Help: "Completed traces the tail sampler discarded (boring: fast, successful, not head-sampled).",
-		Kind: "counter", Value: float64(dropped)})
-	emit(obs.Sample{Name: p + "_flight_evicted_traces_total", Help: "Retained traces evicted by the store's capacity bound.",
-		Kind: "counter", Value: float64(evicted)})
-	emit(obs.Sample{Name: p + "_flight_retained_traces_total", Help: "Traces the tail sampler retained (slow, errored, shed, or head-sampled).",
-		Kind: "counter", Value: float64(retainedTotal)})
-	emit(obs.Sample{Name: p + "_flight_resident_traces", Help: "Traces currently held in the flight recorder.",
-		Kind: "gauge", Value: float64(resident)})
-
-	sloTotal, sloBad := r.slo.Totals()
-	emit(obs.Sample{Name: p + "_slo_target_latency_seconds", Help: "SLO latency target.",
+	emit(obs.Sample{Name: "tsserve_flight_queries_total", Help: "Queries whose lifecycle trace completed.",
+		Kind: "counter", Value: float64(r.total.Load())})
+	emit(obs.Sample{Name: "tsserve_flight_dropped_traces_total", Help: "Completed traces the tail sampler discarded (boring: fast, successful, not head-sampled).",
+		Kind: "counter", Value: float64(r.dropped.Load())})
+	emit(obs.Sample{Name: "tsserve_slo_target_latency_seconds", Help: "SLO latency target.",
 		Kind: "gauge", Value: r.slo.Target().Seconds()})
-	emit(obs.Sample{Name: p + "_slo_error_budget", Help: "Tolerated bad-request fraction.",
-		Kind: "gauge", Value: r.slo.Budget()})
-	emit(obs.Sample{Name: p + "_slo_requests_total", Help: "Requests counted toward the SLO.",
-		Kind: "counter", Value: float64(sloTotal)})
-	emit(obs.Sample{Name: p + "_slo_violations_total", Help: "Requests that failed or exceeded the SLO target latency.",
-		Kind: "counter", Value: float64(sloBad)})
-	emit(obs.Sample{Name: p + "_slo_burn_rate", Help: "Windowed bad-request ratio divided by the error budget (>1 = consuming future budget).",
+	emit(obs.Sample{Name: "tsserve_slo_burn_rate", Help: "Windowed bad-request ratio divided by the error budget (>1 = consuming future budget).",
 		Kind: "gauge", Value: r.slo.BurnRate()})
 }

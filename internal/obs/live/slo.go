@@ -24,11 +24,9 @@ type SLO struct {
 	budget float64
 	now    func() time.Time
 
-	mu       sync.Mutex
-	slots    [sloSlots]sloSlot
-	cur      int
-	total    uint64 // lifetime requests counted toward the SLO
-	violated uint64 // lifetime bad requests
+	mu    sync.Mutex
+	slots [sloSlots]sloSlot
+	cur   int
 }
 
 type sloSlot struct {
@@ -54,19 +52,14 @@ func NewSLO(target time.Duration, budget float64, now func() time.Time) *SLO {
 // Target returns the SLO latency target.
 func (s *SLO) Target() time.Duration { return s.target }
 
-// Budget returns the error budget fraction.
-func (s *SLO) Budget() float64 { return s.budget }
-
 // Observe counts one request: bad when it failed or exceeded the target.
 func (s *SLO) Observe(lat time.Duration, failed bool) {
 	bad := failed || (s.target > 0 && lat > s.target)
 	s.mu.Lock()
 	s.rotate(s.now())
 	s.slots[s.cur].total++
-	s.total++
 	if bad {
 		s.slots[s.cur].bad++
-		s.violated++
 	}
 	s.mu.Unlock()
 }
@@ -103,11 +96,4 @@ func (s *SLO) BurnRate() float64 {
 		return 0
 	}
 	return float64(bad) / float64(total) / s.budget
-}
-
-// Totals returns the lifetime (requests, violations) counters.
-func (s *SLO) Totals() (total, violated uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total, s.violated
 }

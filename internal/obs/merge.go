@@ -361,8 +361,7 @@ func ratioOrUnit(max, med int64) float64 {
 
 // ShardCollector exports a gathered cluster trace as /metrics samples, so
 // the merging rank's scrape carries the cluster-wide view: per-rank span
-// counts and compute/barrier seconds from every shard, not just the local
-// process.
+// counts and clock offsets from every shard, not just the local process.
 type ShardCollector struct {
 	Shards []TraceShard
 }
@@ -371,14 +370,7 @@ type ShardCollector struct {
 func (c ShardCollector) CollectObs(emit func(Sample)) {
 	for _, sh := range c.Shards {
 		labels := []Label{{Key: "rank", Value: strconv.Itoa(sh.Rank)}}
-		var compute, barrier int64
-		for _, st := range sh.Stats {
-			compute += st.Compute
-			barrier += st.Barrier
-		}
 		emit(Sample{Name: "tsgraph_cluster_spans_total", Help: "Trace spans gathered from each rank's shard.", Kind: "counter", Labels: labels, Value: float64(len(sh.Spans))})
-		emit(Sample{Name: "tsgraph_cluster_compute_seconds_total", Help: "Simulated compute time aggregated from each rank's gathered shard.", Kind: "counter", Labels: labels, Value: time.Duration(compute).Seconds()})
-		emit(Sample{Name: "tsgraph_cluster_barrier_seconds_total", Help: "Simulated barrier wait aggregated from each rank's gathered shard.", Kind: "counter", Labels: labels, Value: time.Duration(barrier).Seconds()})
 		emit(Sample{Name: "tsgraph_cluster_clock_offset_seconds", Help: "Estimated clock offset of each rank relative to the merge reference.", Kind: "gauge", Labels: labels, Value: time.Duration(sh.OffsetNanos).Seconds()})
 	}
 }

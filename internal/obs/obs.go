@@ -192,14 +192,10 @@ func (g *Registry) Samples() []Sample {
 }
 
 // recorderSamples converts a metrics.Recorder into exported samples: the
-// run totals, the per-partition §IV-D time decomposition, message traffic,
-// and every application counter.
+// run totals, per-partition compute time and message traffic, and every
+// application counter.
 func recorderSamples(rec *metrics.Recorder, emit func(Sample)) {
-	emit(Sample{Name: "tsgraph_timesteps_total", Help: "Timesteps recorded by the current run.", Kind: "counter", Value: float64(rec.NumTimesteps())})
 	emit(Sample{Name: "tsgraph_supersteps_total", Help: "BSP supersteps executed across all timesteps.", Kind: "counter", Value: float64(rec.TotalSupersteps())})
-	emit(Sample{Name: "tsgraph_wall_seconds_total", Help: "Real wall time across all timesteps.", Kind: "counter", Value: rec.TotalWall().Seconds()})
-	emit(Sample{Name: "tsgraph_sim_wall_seconds_total", Help: "Simulated cluster time across all timesteps.", Kind: "counter", Value: rec.TotalSimWall().Seconds()})
-	emit(Sample{Name: "tsgraph_msgs_total", Help: "Messages sent across all partitions and timesteps.", Kind: "counter", Value: float64(rec.TotalMessages())})
 	emit(Sample{Name: "tsgraph_msgs_dropped_total", Help: "Messages to unknown destinations discarded by the engine.", Kind: "counter", Value: float64(rec.TotalMsgsDropped())})
 	emit(Sample{Name: "tsgraph_load_seconds_total", Help: "Time blocked materializing instances (GoFS loads).", Kind: "counter", Value: sumDurations(rec.LoadSeries())})
 	emit(Sample{Name: "tsgraph_compute_skew_ratio", Help: "Max/median per-partition total compute time (1.0 = perfectly balanced).", Kind: "gauge", Value: rec.ComputeSkew()})
@@ -208,8 +204,6 @@ func recorderSamples(rec *metrics.Recorder, emit func(Sample)) {
 		part := fmt.Sprintf("%d", u.Partition)
 		labels := []Label{{Key: "partition", Value: part}}
 		emit(Sample{Name: "tsgraph_compute_seconds_total", Help: "Per-partition time inside user Compute calls.", Kind: "counter", Labels: labels, Value: u.Compute.Seconds()})
-		emit(Sample{Name: "tsgraph_flush_seconds_total", Help: "Per-partition overhead routing messages after compute.", Kind: "counter", Labels: labels, Value: u.Flush.Seconds()})
-		emit(Sample{Name: "tsgraph_barrier_seconds_total", Help: "Per-partition superstep barrier wait (sync overhead).", Kind: "counter", Labels: labels, Value: u.Barrier.Seconds()})
 	}
 	sent, recv := rec.PartMessages()
 	for p := range sent {

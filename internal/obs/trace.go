@@ -379,7 +379,6 @@ func (t *Tracer) CollectObs(emit func(Sample)) {
 		return
 	}
 	emit(Sample{Name: "tsgraph_trace_spans_total", Help: "Trace spans recorded since the last reset.", Kind: "counter", Value: float64(t.SpansRecorded())})
-	emit(Sample{Name: "tsgraph_trace_spans_dropped_total", Help: "Trace spans overwritten by the ring buffer.", Kind: "counter", Value: float64(t.SpansDropped())})
 	emit(Sample{Name: "tsgraph_trace_enabled", Help: "Whether span recording is currently enabled.", Kind: "gauge", Value: boolToFloat(t.enabled.Load())})
 }
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -15,7 +14,6 @@ import (
 type Metrics struct {
 	ok       [numClasses]atomic.Int64 // answered 200
 	rejected [numClasses]atomic.Int64 // admission-control 429
-	draining atomic.Int64             // refused 503
 	bad      atomic.Int64             // validation 400
 	failed   [numClasses]atomic.Int64 // execution error 500
 
@@ -89,75 +87,14 @@ func (s *Server) CollectObs(emit func(obs.Sample)) {
 	for c := Class(0); c < numClasses; c++ {
 		emit(obs.Sample{Name: "tsserve_queries_answered_total", Help: "Queries answered successfully.",
 			Kind: "counter", Labels: cl(c), Value: float64(m.ok[c].Load())})
-		emit(obs.Sample{Name: "tsserve_queries_rejected_total", Help: "Queries rejected by admission control (HTTP 429).",
-			Kind: "counter", Labels: cl(c), Value: float64(m.rejected[c].Load())})
 		emit(obs.Sample{Name: "tsserve_queries_failed_total", Help: "Queries that failed during execution (HTTP 500).",
 			Kind: "counter", Labels: cl(c), Value: float64(m.failed[c].Load())})
-		emit(obs.Sample{Name: "tsserve_result_cache_hits_total", Help: "Result-cache hits.",
-			Kind: "counter", Labels: cl(c), Value: float64(m.resultHits[c].Load())})
-		emit(obs.Sample{Name: "tsserve_result_cache_misses_total", Help: "Result-cache misses.",
-			Kind: "counter", Labels: cl(c), Value: float64(m.resultMisses[c].Load())})
-		emit(obs.Sample{Name: "tsserve_inflight_joins_total", Help: "Queries deduplicated onto an identical in-flight query.",
-			Kind: "counter", Labels: cl(c), Value: float64(m.flightJoins[c].Load())})
-		emit(obs.Sample{Name: "tsserve_sweeps_total", Help: "TI-BSP jobs executed on behalf of queries.",
-			Kind: "counter", Labels: cl(c), Value: float64(m.sweeps[c].Load())})
 		emit(obs.Sample{Name: "tsserve_queue_depth", Help: "Queries waiting in the class queue.",
 			Kind: "gauge", Labels: cl(c), Value: float64(s.queues[c].depth())})
 	}
-	// Latency histograms (per class and stage), flight-recorder retention
-	// accounting, and the SLO family come from the live recorder.
+	// Latency histograms (per class and stage), flight-recorder accounting
+	// and the SLO family come from the live recorder.
 	s.live.CollectObs(emit)
 	emit(obs.Sample{Name: "tsserve_queries_bad_total", Help: "Queries failing validation (HTTP 400).",
 		Kind: "counter", Value: float64(m.bad.Load())})
-	emit(obs.Sample{Name: "tsserve_queries_draining_total", Help: "Queries refused during drain (HTTP 503).",
-		Kind: "counter", Value: float64(m.draining.Load())})
-	emit(obs.Sample{Name: "tsserve_batches_total", Help: "Micro-batches executed.",
-		Kind: "counter", Value: float64(m.batches.Load())})
-	emit(obs.Sample{Name: "tsserve_batched_queries_total", Help: "Queries answered through micro-batches.",
-		Kind: "counter", Value: float64(m.batchedQueries.Load())})
-	emit(obs.Sample{Name: "tsserve_draining", Help: "1 while the server is draining.",
-		Kind: "gauge", Value: b2f(s.drainingFlag.Load())})
-	if s.opt.InstanceStats != nil {
-		st := s.opt.InstanceStats()
-		emit(obs.Sample{Name: "tsserve_instance_cache_hits_total", Help: "Instance-cache pack hits.",
-			Kind: "counter", Value: float64(st.Hits)})
-		emit(obs.Sample{Name: "tsserve_instance_cache_misses_total", Help: "Instance-cache pack misses.",
-			Kind: "counter", Value: float64(st.Misses)})
-		emit(obs.Sample{Name: "tsserve_instance_cache_evictions_total", Help: "Instance-cache pack evictions.",
-			Kind: "counter", Value: float64(st.Evictions)})
-		emit(obs.Sample{Name: "tsserve_instance_cache_pack_loads_total", Help: "Packs decoded from the store.",
-			Kind: "counter", Value: float64(st.PackLoads)})
-		emit(obs.Sample{Name: "tsserve_instance_cache_resident_packs", Help: "Packs currently resident.",
-			Kind: "gauge", Value: float64(st.Resident)})
-		emit(obs.Sample{Name: "tsserve_instance_cache_decode_seconds_total", Help: "Cumulative pack decode time.",
-			Kind: "counter", Value: st.DecodeTime.Seconds()})
-		emit(obs.Sample{Name: "tsserve_instance_cache_resident_bytes", Help: "Decoded size of resident packs.",
-			Kind: "gauge", Value: float64(st.BytesResident)})
-		emit(obs.Sample{Name: "tsserve_instance_cache_limit_bytes", Help: "Byte budget in byte-bounded mode (0 when pack-count bounded).",
-			Kind: "gauge", Value: float64(st.BytesLimit)})
-		emit(obs.Sample{Name: "tsserve_instance_cache_snapshot_steps_total", Help: "Timesteps materialized from full snapshot records.",
-			Kind: "counter", Value: float64(st.SnapshotSteps)})
-		emit(obs.Sample{Name: "tsserve_instance_cache_delta_steps_total", Help: "Timesteps materialized by patching the previous timestep.",
-			Kind: "counter", Value: float64(st.DeltaSteps)})
-		classes := make([]string, 0, len(st.ByClass))
-		for class := range st.ByClass {
-			classes = append(classes, class)
-		}
-		sort.Strings(classes)
-		for _, class := range classes {
-			cs := st.ByClass[class]
-			labels := []obs.Label{{Key: "class", Value: class}}
-			emit(obs.Sample{Name: "tsserve_instance_cache_class_hits_total", Help: "Instance-cache pack hits attributed to the query class whose sweep loaded them.",
-				Kind: "counter", Labels: labels, Value: float64(cs.Hits)})
-			emit(obs.Sample{Name: "tsserve_instance_cache_class_misses_total", Help: "Instance-cache pack misses attributed to the query class whose sweep loaded them.",
-				Kind: "counter", Labels: labels, Value: float64(cs.Misses)})
-		}
-	}
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

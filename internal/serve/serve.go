@@ -278,7 +278,7 @@ func (s *Server) SubmitTraced(ctx context.Context, q Query) (*Answer, *live.Quer
 	case errors.As(err, &rej):
 		s.metrics.rejected[req.class].Add(1)
 	case errors.Is(err, ErrDraining):
-		s.metrics.draining.Add(1)
+		// Refused during drain (503); not a server failure.
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// Client went away; not a server failure.
 	default:

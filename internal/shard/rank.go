@@ -99,9 +99,6 @@ type Rank struct {
 	conns   map[net.Conn]bool
 	wg      sync.WaitGroup
 	closed  atomic.Bool
-
-	sweeps  [4]atomic.Int64 // indexed by request kind
-	sweepNS atomic.Int64
 }
 
 // NewRank validates the topology and builds the rank. Start connects the
@@ -263,12 +260,7 @@ func (r *Rank) handle(req *Request) *Response {
 	default:
 		err = fmt.Errorf("shard: unknown request kind %d", req.Kind)
 	}
-	dur := time.Since(start)
-	resp.SweepNS = dur.Nanoseconds()
-	if req.Kind >= 1 && req.Kind < len(r.sweeps) {
-		r.sweeps[req.Kind].Add(1)
-	}
-	r.sweepNS.Add(dur.Nanoseconds())
+	resp.SweepNS = time.Since(start).Nanoseconds()
 	if err != nil {
 		resp.Err = err.Error()
 	}
@@ -370,24 +362,4 @@ func (r *Rank) meme(req *Request, resp *Response) error {
 		}
 	}
 	return nil
-}
-
-// CollectObs exports the rank's sweep counters.
-func (r *Rank) CollectObs(emit func(obs.Sample)) {
-	rank := []obs.Label{{Key: "rank", Value: fmt.Sprint(r.cfg.Rank)}}
-	kinds := [4]string{"", "tdsp", "topn", "meme"}
-	for k := 1; k < len(r.sweeps); k++ {
-		emit(obs.Sample{
-			Name: "tsshard_rank_sweeps_total", Kind: "counter",
-			Help:   "Sweeps executed by this rank, by query class.",
-			Labels: append([]obs.Label{{Key: "class", Value: kinds[k]}}, rank...),
-			Value:  float64(r.sweeps[k].Load()),
-		})
-	}
-	emit(obs.Sample{
-		Name: "tsshard_rank_sweep_seconds_total", Kind: "counter",
-		Help:   "Wall-clock seconds this rank spent executing sweeps.",
-		Labels: rank,
-		Value:  float64(r.sweepNS.Load()) / 1e9,
-	})
 }

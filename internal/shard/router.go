@@ -59,11 +59,7 @@ type Router struct {
 	rr  atomic.Int64 // round-robin group cursor
 	seq atomic.Int64 // sweep serial
 
-	sweeps    [4]atomic.Int64 // by request kind
 	failovers atomic.Int64
-	rpcs      []atomic.Int64 // by global rank
-	rpcErrs   []atomic.Int64
-	rankNS    []atomic.Int64
 }
 
 // NewRouter builds a router over the layout. Connections to ranks are
@@ -79,9 +75,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		cfg:      cfg,
 		timeout:  cfg.Timeout,
 		cooldown: cfg.DownCooldown,
-		rpcs:     make([]atomic.Int64, cfg.Layout.NumRanks()),
-		rpcErrs:  make([]atomic.Int64, cfg.Layout.NumRanks()),
-		rankNS:   make([]atomic.Int64, cfg.Layout.NumRanks()),
 	}
 	if r.timeout <= 0 {
 		r.timeout = 15 * time.Second
@@ -117,9 +110,6 @@ func (r *Router) Close() {
 // the cooldown make a retry meaningful.
 func (r *Router) scatter(req *Request) ([]*Response, *group, error) {
 	req.ID = r.seq.Add(1)
-	if req.Kind >= 1 && req.Kind < len(r.sweeps) {
-		r.sweeps[req.Kind].Add(1)
-	}
 	n := len(r.groups)
 	start := int(r.rr.Add(1)-1) % n
 	var lastErr error
@@ -154,13 +144,11 @@ func (r *Router) scatterGroup(g *group, req *Request) ([]*Response, error) {
 		wg.Add(1)
 		go func(i int, m *memberClient) {
 			defer wg.Done()
-			r.rpcs[m.rank].Add(1)
 			resp, err := m.call(req, r.timeout)
 			if err == nil && resp.Err != "" {
 				err = fmt.Errorf("shard: rank %d: %s", m.rank, resp.Err)
 			}
 			if err != nil {
-				r.rpcErrs[m.rank].Add(1)
 				errs[i] = err
 				return
 			}
@@ -173,10 +161,8 @@ func (r *Router) scatterGroup(g *group, req *Request) ([]*Response, error) {
 			return nil, err
 		}
 	}
-	tr := r.cfg.Tracer
-	for i, resp := range resps {
-		r.rankNS[g.ranks[i]].Add(resp.SweepNS)
-		if tr.Active() {
+	if tr := r.cfg.Tracer; tr.Active() {
+		for i, resp := range resps {
 			tr.RecordSpan(obs.SpanShard, int32(g.ranks[i]), int32(req.Kind), -1,
 				req.ID, sweepStart, time.Duration(resp.SweepNS))
 		}
@@ -262,53 +248,11 @@ func (r *Router) SweepMeme(_ context.Context, watermark int, tag string, probes 
 	return sp, nil
 }
 
-// CollectObs exports the router's scatter/gather counters.
+// CollectObs exports the router's failover counter.
 func (r *Router) CollectObs(emit func(obs.Sample)) {
-	kinds := [4]string{"", "tdsp", "topn", "meme"}
-	for k := 1; k < len(r.sweeps); k++ {
-		emit(obs.Sample{
-			Name: "tsshard_sweeps_total", Kind: "counter",
-			Help:   "Sweeps scattered by the shard router, by query class.",
-			Labels: []obs.Label{{Key: "class", Value: kinds[k]}},
-			Value:  float64(r.sweeps[k].Load()),
-		})
-	}
 	emit(obs.Sample{
 		Name: "tsshard_failovers_total", Kind: "counter",
 		Help:  "Sweeps retried on a replica group after a member failure.",
 		Value: float64(r.failovers.Load()),
 	})
-	now := time.Now()
-	downGroups := 0
-	for _, g := range r.groups {
-		if g.down(now) {
-			downGroups++
-		}
-	}
-	emit(obs.Sample{
-		Name: "tsshard_groups_down", Kind: "gauge",
-		Help:  "Replica groups currently quarantined after a failure.",
-		Value: float64(downGroups),
-	})
-	for rank := range r.rpcs {
-		labels := []obs.Label{{Key: "rank", Value: fmt.Sprint(rank)}}
-		emit(obs.Sample{
-			Name: "tsshard_rpcs_total", Kind: "counter",
-			Help:   "Sweep RPCs sent to each rank.",
-			Labels: labels,
-			Value:  float64(r.rpcs[rank].Load()),
-		})
-		emit(obs.Sample{
-			Name: "tsshard_rpc_errors_total", Kind: "counter",
-			Help:   "Sweep RPCs that failed per rank (dial, timeout, or remote error).",
-			Labels: labels,
-			Value:  float64(r.rpcErrs[rank].Load()),
-		})
-		emit(obs.Sample{
-			Name: "tsshard_rank_sweep_seconds_total", Kind: "counter",
-			Help:   "Rank-reported sweep seconds, as gathered by the router.",
-			Labels: labels,
-			Value:  float64(r.rankNS[rank].Load()) / 1e9,
-		})
-	}
 }

@@ -78,11 +78,23 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		"tsgraph_load_seconds_total",
 		"tsgraph_compute_skew_ratio",
 		"tsgraph_wire_frames_sent_total{rank=",
+		"tsgraph_wire_bytes_sent_total{rank=",
 		"tsgraph_wire_bytes_recv_total{rank=",
 		"tsgraph_trace_spans_total",
 	} {
 		if !strings.Contains(scrape, family) {
 			t.Fatalf("/metrics scrape missing %q:\n%s", family, scrape)
+		}
+	}
+	// Every family on the scrape is a census row, which catches a name the
+	// census test cannot see because it is built at run time.
+	census := readFamilies(t)
+	for _, line := range strings.Split(scrape, "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ = strings.Cut(name, " ")
+			if _, ok := census[name]; !ok {
+				t.Errorf("/metrics family %s has no row in %s", name, familiesTable)
+			}
 		}
 	}
 

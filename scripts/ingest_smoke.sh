@@ -112,6 +112,8 @@ echo "== ingest metrics agree with the stream"
     || { echo "FAIL: tsingest_watermark disagrees"; exit 1; }
 [ "$(scrape_metric "$ADDR" tsingest_appends_total)" = "$STEPS" ] \
     || { echo "FAIL: tsingest_appends_total != $STEPS"; exit 1; }
+[ "$(scrape_metric "$ADDR" tsingest_append_failures_total)" = 0 ] \
+    || { echo "FAIL: tsingest_append_failures_total != 0"; exit 1; }
 
 echo "== a pinned watermark is a stable snapshot"
 POST_PIN="$(pinned_tdsp "$ADDR" "$SRC" "${VERTS[7]}" "$BASE_WM")"

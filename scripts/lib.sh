@@ -58,6 +58,13 @@ require_metric() {
         || { echo "FAIL: metrics lack $2" >&2; tail -20 "$1" >&2; return 1; }
 }
 
+# metric_sum FILE NAME
+# Print the sum of a fetched family's samples across its label sets (0
+# when the family has no samples).
+metric_sum() {
+    awk -v name="$2" '$1 == name || index($1, name "{") == 1 { s += $2 } END { printf "%d\n", s }' "$1"
+}
+
 # scrape_metric ADDR NAME
 # Fetch /metrics and print the value of the first sample named NAME, e.g.
 #   wm="$(scrape_metric 127.0.0.1:8090 tsingest_watermark)"
