@@ -118,7 +118,7 @@ func main() {
 		resilient = flag.Bool("resilient", false, "distributed mode: resilient transport — retry failed sends with backoff, re-dial lost peers, replay unacked frames. Pass on every rank or none (the handshake differs); pair with -chaos wire faults to survive them")
 		ckptDir   = flag.String("checkpoint", "", "tdsp/meme: persist program state into this directory after each timestep boundary")
 		ckptEvery = flag.Int("checkpoint-every", 1, "with -checkpoint: write only every Nth boundary")
-		resume    = flag.Bool("resume", false, "restore the newest usable checkpoint from -checkpoint before running (distributed ranks agree on the minimum)")
+		resume    = flag.Bool("resume", false, "restore the newest usable checkpoint from -checkpoint before running (distributed ranks agree on the minimum). A resumed tdsp run counts finalized vertices for its early halt from the resumed timestep on, so it may sweep to the end of its window; its answers do not change")
 		logLevel  = flag.String("log-level", "info", "structured log level: debug | info | warn | error")
 		logFormat = flag.String("log-format", "text", "structured log format: text | json")
 		bundleDir = flag.String("bundle-dir", "", "directory for diagnostic bundles; arms runtime anomaly detectors, SIGQUIT capture, and /debug/bundle on -obs (empty disables)")
@@ -269,33 +269,25 @@ func main() {
 	wallStart := time.Now()
 	var res *tsgraph.Result
 
+	// The sequentially dependent algorithms run this job; its checkpoint
+	// fields are empty unless -checkpoint is set.
+	seqJob := &core.Job{
+		Template: tmpl, Parts: parts, Source: loader, Config: cfg, Recorder: rec,
+		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Resume: *resume,
+	}
 	switch *algo {
 	case "tdsp":
 		if srcIdx < 0 {
 			log.Fatalf("source vertex %d not in template", *source)
 		}
-		var arrivals []float64
-		var r *tsgraph.Result
-		if *ckptDir != "" {
-			// The wrapper owns its Job, so the checkpointed variant builds
-			// the Job here to reach the checkpoint fields.
-			prog := algorithms.NewTDSP(parts, srcIdx, float64(manifest.Delta), tsgraph.AttrLatency)
-			r, err = core.Run(&core.Job{
-				Template: tmpl, Parts: parts, Source: loader, Program: prog,
-				Pattern: core.SequentiallyDependent, Config: cfg, Recorder: rec,
-				CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Resume: *resume,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			arrivals = prog.Arrivals(parts, tmpl)
-		} else if arrivals, r, err = tsgraph.TDSP(tmpl, parts, srcIdx, loader,
-			float64(manifest.Delta), tsgraph.AttrLatency, cfg, rec); err != nil {
+		prog := algorithms.NewTDSP(parts, srcIdx, float64(manifest.Delta), tsgraph.AttrLatency)
+		r, err := prog.Sweep(seqJob)
+		if err != nil {
 			log.Fatal(err)
 		}
 		res = r
 		reached := 0
-		for v, a := range arrivals {
+		for v, a := range prog.Arrivals(parts, tmpl) {
 			if !math.IsInf(a, 1) {
 				reached++
 				if *verbose {
@@ -306,25 +298,15 @@ func main() {
 		fmt.Printf("tdsp: reached %d of %d vertices in %d timesteps\n",
 			reached, tmpl.NumVertices(), r.TimestepsRun)
 	case "meme":
-		var coloredAt []int32
-		var r *tsgraph.Result
-		if *ckptDir != "" {
-			prog := algorithms.NewMeme(parts, *meme, tsgraph.AttrTweets)
-			r, err = core.Run(&core.Job{
-				Template: tmpl, Parts: parts, Source: loader, Program: prog,
-				Pattern: core.SequentiallyDependent, Config: cfg, Recorder: rec,
-				CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Resume: *resume,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			coloredAt = prog.ColoredAt(parts, tmpl)
-		} else if coloredAt, r, err = tsgraph.TrackMeme(tmpl, parts, *meme, tsgraph.AttrTweets, loader, cfg, rec); err != nil {
+		prog := algorithms.NewMeme(parts, *meme, tsgraph.AttrTweets)
+		seqJob.Program = prog
+		r, err := algorithms.Sweep(seqJob)
+		if err != nil {
 			log.Fatal(err)
 		}
 		res = r
 		colored := 0
-		for v, at := range coloredAt {
+		for v, at := range prog.ColoredAt(parts, tmpl) {
 			if at >= 0 {
 				colored++
 				if *verbose {

@@ -198,14 +198,7 @@ func main() {
 		return src
 	}
 
-	weightAttr := ""
-	if tmpl.EdgeSchema().Index(tsgraph.AttrLatency) >= 0 {
-		weightAttr = tsgraph.AttrLatency
-	}
-	tweetsAttr := ""
-	if i := tmpl.VertexSchema().Index(tsgraph.AttrTweets); i >= 0 && tmpl.VertexSchema().Type(i) == graph.TStringList {
-		tweetsAttr = tsgraph.AttrTweets
-	}
+	weightAttr, tweetsAttr := datasetAttrs(tmpl)
 
 	tracer := obs.NewTracer(0)
 	tracer.Enable()

@@ -31,7 +31,7 @@ func splitAddrs(csv string) []string {
 }
 
 // datasetAttrs picks the conventional weight and tweets attributes when
-// the dataset carries them, mirroring the single-process startup.
+// the dataset carries them.
 func datasetAttrs(tmpl *graph.Template) (weightAttr, tweetsAttr string) {
 	if tmpl.EdgeSchema().Index(tsgraph.AttrLatency) >= 0 {
 		weightAttr = tsgraph.AttrLatency

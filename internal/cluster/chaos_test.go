@@ -216,7 +216,7 @@ func newChaosKillFixture(tb testing.TB, k int) *chaosKillFixture {
 }
 
 // openLoader opens one rank's view of the GoFS dataset.
-func (f *chaosKillFixture) openLoader(tb testing.TB) *gofs.Loader {
+func (f *chaosKillFixture) openLoader(tb testing.TB) *gofs.InstanceCache {
 	tb.Helper()
 	store, err := gofs.Open(f.dir)
 	if err != nil {
@@ -229,7 +229,7 @@ func (f *chaosKillFixture) openLoader(tb testing.TB) *gofs.Loader {
 type killRunResult struct {
 	err    error
 	res    *core.Result
-	loader *gofs.Loader
+	loader *gofs.InstanceCache
 }
 
 // runTDSPRanks runs distributed TDSP over the kill fixture, one goroutine
@@ -241,7 +241,7 @@ func runTDSPRanks(
 	tb testing.TB,
 	f *chaosKillFixture,
 	meshes []*core.Mesh,
-	mutate func(rank int, job *core.Job, loader *gofs.Loader),
+	mutate func(rank int, job *core.Job, loader *gofs.InstanceCache),
 	after func(rank int, err error),
 ) ([]killRunResult, []float64) {
 	tb.Helper()
@@ -320,7 +320,7 @@ func TestChaosKillResumeByteIdentical(t *testing.T) {
 	seed := chaosSeed(t)
 	killNodes, killMeshes := mesh(t, k, f.parts, nil)
 	killOuts, _ := runTDSPRanks(t, f, killMeshes,
-		func(rank int, job *core.Job, loader *gofs.Loader) {
+		func(rank int, job *core.Job, loader *gofs.InstanceCache) {
 			job.CheckpointDir = ckdir
 			job.CheckpointRank = rank
 			if rank == 2 {
@@ -377,7 +377,7 @@ func TestChaosKillResumeByteIdentical(t *testing.T) {
 	// the remaining 8 timesteps replay.
 	resumeNodes, resumeMeshes := mesh(t, k, f.parts, nil)
 	resumeOuts, resumeArrivals := runTDSPRanks(t, f, resumeMeshes,
-		func(rank int, job *core.Job, loader *gofs.Loader) {
+		func(rank int, job *core.Job, loader *gofs.InstanceCache) {
 			job.CheckpointDir = ckdir
 			job.CheckpointRank = rank
 			job.Resume = true
@@ -392,8 +392,8 @@ func TestChaosKillResumeByteIdentical(t *testing.T) {
 		}
 		// Timesteps 0–3 came from the checkpoint: only packs 4–7 and 8–11
 		// were materialized.
-		if out.loader.PackLoads > 2 {
-			t.Errorf("resumed rank %d materialized %d packs, want <=2 (resume skips completed timesteps)", r, out.loader.PackLoads)
+		if n := out.loader.Stats().PackLoads; n > 2 {
+			t.Errorf("resumed rank %d materialized %d packs, want <=2 (resume skips completed timesteps)", r, n)
 		}
 	}
 	got := gobBytes(t, resumeArrivals)

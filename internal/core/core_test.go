@@ -512,16 +512,17 @@ func TestGoFSBackedRun(t *testing.T) {
 	if res.TimestepsRun != 12 {
 		t.Errorf("ran %d timesteps, want 12", res.TimestepsRun)
 	}
-	// Loader performed pack loads: 12 steps / pack 5 = 3 packs.
-	if loader.Loads == 0 {
-		t.Error("GoFS loader performed no slice reads")
+	// 12 steps / pack 5 = 3 packs, each decoded once.
+	if n := loader.Stats().PackLoads; n != 3 {
+		t.Errorf("GoFS loader decoded %d packs, want 3", n)
 	}
 }
 
-// TestGoFSLoaderUnderTemporalParallelism shares one gofs.Loader between
-// concurrent timesteps: loads that cross pack boundaries at once must
-// neither race nor bind a timestep to another timestep's instance.
-func TestGoFSLoaderUnderTemporalParallelism(t *testing.T) {
+// TestGoFSCacheUnderTemporalParallelism shares one one-pack
+// gofs.InstanceCache (gofs.NewLoader) between concurrent timesteps: loads
+// that cross pack boundaries at once must neither race nor bind a timestep
+// to another timestep's instance.
+func TestGoFSCacheUnderTemporalParallelism(t *testing.T) {
 	f := newFixture(t, 12, 2)
 	store := f.writeStore(t)
 	requireParallelMatchesSequential(t, f, func() InstanceSource { return gofs.NewLoader(store) })

@@ -9,9 +9,8 @@ import (
 )
 
 // DeltaSource is an InstanceSource that can report what changed between
-// consecutive timesteps — delta-encoded GoFS stores (gofs.Loader,
-// gofs.InstanceCache). Delta(t) is
-// valid after Load(t) and until a later Load leaves t's pack; nil means
+// consecutive timesteps — a gofs.InstanceCache over a delta-encoded store.
+// Delta(t) is valid after Load(t) while t's pack stays resident; nil means
 // unknown (full-format stores, the first timestep) and forces a full
 // recompute of that timestep.
 type DeltaSource interface {

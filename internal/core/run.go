@@ -141,7 +141,7 @@ type Job struct {
 	// Independent and EventuallyDependent patterns (≤1 means sequential,
 	// which is what the paper's GoFFish implementation does). Above 1,
 	// Source.Load is called concurrently, so the source must be safe for
-	// concurrent use (MemorySource, gofs.Loader and gofs.InstanceCache are).
+	// concurrent use (MemorySource and gofs.InstanceCache are).
 	TemporalParallelism int
 	// HaltCondition, if set, is evaluated on the runner after each
 	// sequentially dependent timestep — a Master.Compute-style global

@@ -154,12 +154,11 @@ func PackingAblation(ds *Dataset, k int, packs []int, dir string, cfg bsp.Config
 		if err != nil {
 			return nil, err
 		}
-		loader := gofs.NewLoader(store)
 		rec := newRecorder(k)
 		job := &core.Job{
 			Template: ds.Template,
 			Parts:    parts,
-			Source:   loader,
+			Source:   gofs.NewLoader(store),
 			Program:  algorithms.NewTDSP(parts, ds.SourceVertex, ds.Delta, "latency"),
 			Pattern:  core.SequentiallyDependent,
 			Config:   cfg,
@@ -168,7 +167,7 @@ func PackingAblation(ds *Dataset, k int, packs []int, dir string, cfg bsp.Config
 		if _, err := core.Run(job); err != nil {
 			return nil, err
 		}
-		row := PackingRow{Pack: pack, SliceReads: loader.Loads}
+		row := PackingRow{Pack: pack, SliceReads: int(store.Telemetry().SliceReads())}
 		var total time.Duration
 		n := rec.NumTimesteps()
 		for i := 0; i < n; i++ {

@@ -30,7 +30,7 @@ type IncrementalStorageRow struct {
 	FullBytes  int64
 	DeltaBytes int64
 	// FullSweep / DeltaSweep are the wall times of decoding every timestep
-	// in order through a fresh Loader.
+	// in order through a fresh gofs.NewLoader.
 	FullSweep  time.Duration
 	DeltaSweep time.Duration
 }
@@ -100,7 +100,7 @@ func dirBytes(root string) (int64, error) {
 	return n, err
 }
 
-// sweepDataset decodes every timestep in order through a fresh Loader and
+// sweepDataset decodes every timestep in order through a fresh loader and
 // returns the wall time; the minimum of three sweeps is kept (the suite's
 // convention for timing cells).
 func sweepDataset(dir string) (time.Duration, error) {

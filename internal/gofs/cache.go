@@ -61,13 +61,12 @@ type cachedPack struct {
 }
 
 // InstanceCache is a bounded, thread-safe LRU of decoded packs over a
-// Store — the lower tier of the serving layer's two-tier cache. Unlike
-// Loader (one resident pack, single goroutine), it keeps multiple packs
-// resident and is safe for concurrent TI-BSP sweeps: a miss decodes
-// the pack once while concurrent readers of the same pack wait for that
-// decode (per-pack single-flight) instead of duplicating it. Decoded
-// instances are shared read-only, which is exactly how the engine consumes
-// them.
+// Store, and the one way GoFS holds decoded packs: an offline sweep reads
+// through a one-pack cache (NewLoader), and the serving layer's lower tier
+// is a larger one shared by concurrent TI-BSP sweeps. A miss decodes the
+// pack once while concurrent readers of the same pack wait for that decode
+// (per-pack single-flight) instead of duplicating it. Decoded instances are
+// shared read-only, which is exactly how the engine consumes them.
 //
 // Two capacity modes exist: a pack-count bound (NewInstanceCache) and a
 // decoded-byte bound (NewInstanceCacheBytes). The byte bound is the right
@@ -215,7 +214,7 @@ func (c *InstanceCache) load(timestep int, class string) (*graph.Instance, error
 	c.mu.Unlock()
 
 	decodeStart := time.Now()
-	instances, deltas, _, err := c.store.ReadPackDeltasParts(ps, c.Chaos, c.want)
+	instances, deltas, _, err := c.store.readPack(ps, c.Chaos, c.want)
 	dur := time.Since(decodeStart)
 	var bytes int64
 	for _, ins := range instances {

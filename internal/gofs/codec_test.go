@@ -46,10 +46,10 @@ func TestCorruptLengthBoundedAlloc(t *testing.T) {
 
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, _, err = s.ReadPack(0, nil)
+			_, _, _, err = s.ReadPackDeltas(0, nil)
 			runtime.ReadMemStats(&after)
 			if err == nil {
-				t.Fatal("ReadPack accepted a slice claiming 2^30 of something in 64 bytes")
+				t.Fatal("ReadPackDeltas accepted a slice claiming 2^30 of something in 64 bytes")
 			}
 			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
 				t.Fatalf("decode allocated %d bytes before failing, want < 1 MB", grew)
@@ -95,7 +95,7 @@ func fuzzSliceDataset(tb testing.TB, snapEvery int) (*graph.Collection, map[stri
 // FuzzSliceDecode feeds the slice decoder bytes it did not write: the
 // fuzzed bytes replace the first slice file of a valid dataset — framed
 // with full records (kind 0) or delta records (1), or the legacy version-1
-// (2) or version-2 (3) fixture — and ReadPack must return an error or
+// (2) or version-2 (3) fixture — and ReadPackDeltas must return an error or
 // exactly the stored instances, never panic or hang.
 func FuzzSliceDecode(f *testing.F) {
 	slice := filepath.Join(sliceDir, "p0_b0_t0.slice")
@@ -123,7 +123,7 @@ func FuzzSliceDecode(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		instances, _, err := s.ReadPack(0, nil)
+		instances, _, _, err := s.ReadPackDeltas(0, nil)
 		if err != nil {
 			return
 		}
@@ -190,7 +190,7 @@ func BenchmarkReadPack(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := s.ReadPack(0, nil); err != nil {
+				if _, _, _, err := s.ReadPackDeltas(0, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -213,11 +213,11 @@ func TestReadPackAllocs(t *testing.T) {
 	cols := s.Template().VertexSchema().Len() + s.Template().EdgeSchema().Len()
 	bound := float64(3 * files * m.Pack * cols)
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, _, err := s.ReadPack(0, nil); err != nil {
+		if _, _, _, err := s.ReadPackDeltas(0, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > bound {
-		t.Fatalf("ReadPack: %.0f allocations per pack, want <= %.0f", allocs, bound)
+		t.Fatalf("ReadPackDeltas: %.0f allocations per pack, want <= %.0f", allocs, bound)
 	}
 }

@@ -65,8 +65,8 @@ func TestDeltaRoundTrip(t *testing.T) {
 	if _, err := l.Load(11); err != nil {
 		t.Fatal(err)
 	}
-	if l.DeltaSteps == 0 || l.SnapshotSteps == 0 {
-		t.Fatalf("step-kind counters not accounted: snapshots %d, deltas %d", l.SnapshotSteps, l.DeltaSteps)
+	if st := l.Stats(); st.DeltaSteps == 0 || st.SnapshotSteps == 0 {
+		t.Fatalf("step-kind counters not accounted: snapshots %d, deltas %d", st.SnapshotSteps, st.DeltaSteps)
 	}
 	if d := l.Delta(8); d == nil {
 		t.Fatal("Delta(8) = nil inside cached pack of a delta store")
@@ -245,8 +245,8 @@ func TestMixedFormatLoad(t *testing.T) {
 	if d := l.Delta(5); d != nil {
 		t.Fatalf("full-format store reported a delta: %+v", d)
 	}
-	if l.DeltaSteps != 0 {
-		t.Fatalf("full-format store counted %d delta steps", l.DeltaSteps)
+	if n := l.Stats().DeltaSteps; n != 0 {
+		t.Fatalf("full-format store counted %d delta steps", n)
 	}
 }
 

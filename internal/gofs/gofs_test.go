@@ -131,10 +131,11 @@ func TestLoaderPackCaching(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := NewLoader(s)
+	reads := s.Telemetry().SliceReads
 	if _, err := l.Load(0); err != nil {
 		t.Fatal(err)
 	}
-	afterFirst := l.Loads
+	afterFirst := reads()
 	if afterFirst == 0 {
 		t.Fatal("first load read no slice files")
 	}
@@ -144,22 +145,41 @@ func TestLoaderPackCaching(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if l.Loads != afterFirst {
-		t.Errorf("loads grew within a pack: %d -> %d", afterFirst, l.Loads)
+	if reads() != afterFirst {
+		t.Errorf("reads grew within a pack: %d -> %d", afterFirst, reads())
 	}
 	// Step 10 starts a new pack: reads happen.
 	if _, err := l.Load(10); err != nil {
 		t.Fatal(err)
 	}
-	if l.Loads != 2*afterFirst {
-		t.Errorf("second pack loads = %d, want %d", l.Loads-afterFirst, afterFirst)
+	if reads() != 2*afterFirst {
+		t.Errorf("second pack reads = %d, want %d", reads()-afterFirst, afterFirst)
 	}
 	// Going back also re-reads (only one pack cached).
 	if _, err := l.Load(3); err != nil {
 		t.Fatal(err)
 	}
-	if l.Loads != 3*afterFirst {
-		t.Errorf("re-load of evicted pack: loads = %d", l.Loads)
+	if reads() != 3*afterFirst {
+		t.Errorf("re-load of evicted pack: reads = %d", reads())
+	}
+
+	// A sequential sweep decodes each pack once and keeps one resident.
+	dir = t.TempDir()
+	c, a = makeDataset(t, 12, 2)
+	if err := WriteDataset(dir, c, a, 5, 5); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	l = NewLoader(s)
+	for step := 0; step < 12; step++ {
+		if _, err := l.Load(step); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := l.Stats(); st.PackLoads != 3 || st.Resident != 1 {
+		t.Errorf("sweep of 3 packs: %d pack loads, %d resident, want 3 and 1", st.PackLoads, st.Resident)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,7 +13,7 @@ import (
 )
 
 // Store is an opened GoFS dataset: template and manifest are resident;
-// instance data stays on disk until a Loader touches it.
+// instance data stays on disk until an InstanceCache touches it.
 //
 // The manifest is held behind an atomic pointer because a live Appender can
 // publish new generations while queries are in flight: each reader captures
@@ -91,147 +90,33 @@ func (s *Store) Assignment() *partition.Assignment {
 // durably readable.
 func (s *Store) Timesteps() int { return s.m().Timesteps }
 
-// Loader incrementally materializes graph instances from slice files. It
-// keeps the current temporal pack in memory and evicts it when a timestep
-// outside the pack is requested — the loading pattern that produces the
-// paper's periodic per-timestep time spikes.
-//
-// Load and Delta are safe for concurrent use: one mutex serializes them, so
-// concurrent timesteps take turns on the single resident pack. Read the
-// counters below once the loads they count have returned.
-type Loader struct {
-	store        *Store
-	mu           sync.Mutex // guards the cached pack and the counters
-	packStart    int
-	cached       []*graph.Instance // instances of the cached pack, or nil
-	cachedDeltas []*graph.Delta    // per cached timestep, nil for full-format stores
-	// Chaos, when non-nil, arms the gofs.load failpoint: each pack
-	// materialization registers one hit and fails with the injected fault
-	// when it fires (fault-injection testing of the load path; nil in
-	// production).
-	Chaos *chaos.Injector
-	// Loads counts slice-file reads performed, for tests and reports.
-	Loads int
-	// PackLoads counts pack materializations (each one is a §IV-D load
-	// spike, paid by the Load call that needed the pack).
-	PackLoads int
-	// LastPackDur is the decode wall time of the most recent pack
-	// materialization.
-	LastPackDur time.Duration
-	// TotalPackDur accumulates decode wall time across all pack
-	// materializations.
-	TotalPackDur time.Duration
-	// SnapshotSteps counts timesteps materialized from full snapshot
-	// records; DeltaSteps counts timesteps materialized by patching the
-	// previous timestep (always 0 on full-format datasets).
-	SnapshotSteps int
-	DeltaSteps    int
-}
+// NewLoader returns the instance source an offline sweep reads through: a
+// one-pack InstanceCache, which keeps the current temporal pack decoded and
+// drops it when a timestep outside it is requested — the loading pattern
+// behind the paper's periodic per-timestep load spikes.
+func NewLoader(s *Store) *InstanceCache { return NewInstanceCache(s, 1) }
 
-// NewLoader creates a loader over an open store.
-func NewLoader(s *Store) *Loader {
-	return &Loader{store: s, packStart: -1}
-}
-
-// Load returns the instance at a timestep, reading the containing pack's
-// slice files if they are not cached. The returned instance stays valid
-// after its pack is evicted.
-func (l *Loader) Load(timestep int) (*graph.Instance, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	m := l.store.m()
-	if timestep < 0 || timestep >= m.Timesteps {
-		return nil, fmt.Errorf("gofs: timestep %d outside [0,%d)", timestep, m.Timesteps)
-	}
-	ps := (timestep / m.Pack) * m.Pack
-	// The third condition catches a stale tail-pack decode on a live
-	// dataset: the pack was cached when it held fewer timesteps than the
-	// current manifest says it does now.
-	if l.cached == nil || ps != l.packStart || timestep-ps >= len(l.cached) {
-		if err := l.loadPack(ps); err != nil {
-			return nil, err
-		}
-	}
-	ins := l.cached[timestep-l.packStart]
-	if ins == nil {
-		return nil, fmt.Errorf("gofs: timestep %d missing from pack %d", timestep, l.packStart)
-	}
-	return ins, nil
-}
-
-// loadPack reads every partition's and bin's slice file for the pack
-// starting at ps and assembles full instances. Caller holds l.mu.
-func (l *Loader) loadPack(ps int) error {
-	if err := l.Chaos.Hit(chaos.SiteGoFSLoad); err != nil {
-		return fmt.Errorf("gofs: loading pack %d: %w", ps, err)
-	}
-	packStart := time.Now()
-	defer func() {
-		l.LastPackDur = time.Since(packStart)
-		l.TotalPackDur += l.LastPackDur
-		l.PackLoads++
-	}()
-	instances, deltas, reads, err := l.store.readPackSlices(ps, nil)
-	l.Loads += reads
-	if err != nil {
-		return err
-	}
-	l.packStart = ps
-	l.cached = instances
-	l.cachedDeltas = deltas
-	snaps, dsteps := l.store.m().packStepKinds(ps, len(instances))
-	l.SnapshotSteps += snaps
-	l.DeltaSteps += dsteps
-	return nil
-}
-
-// Delta returns what changed between timestep-1 and timestep, valid while
-// the containing pack is cached (i.e. right after Load(timestep)). nil means
-// unknown — full-format datasets, the collection's first timestep, or a
-// timestep outside the cached pack — and callers must assume everything
-// changed.
-func (l *Loader) Delta(timestep int) *graph.Delta {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.cachedDeltas == nil || timestep < l.packStart || timestep >= l.packStart+len(l.cachedDeltas) {
-		return nil
-	}
-	return l.cachedDeltas[timestep-l.packStart]
-}
-
-// ReadPack decodes the pack starting at ps into full instances, reading
-// every partition's and bin's slice file. sliceReads reports how many slice
-// files were read (for load accounting). inj, when non-nil, arms the
-// gofs.load failpoint exactly as Loader does. The decode touches no shared
-// state, so concurrent ReadPack calls on one Store are safe — the
-// single-flight grouping that avoids duplicating them lives in
-// InstanceCache.
-func (s *Store) ReadPack(ps int, inj *chaos.Injector) (instances []*graph.Instance, sliceReads int, err error) {
-	instances, _, sliceReads, err = s.ReadPackDeltas(ps, inj)
-	return instances, sliceReads, err
-}
-
-// ReadPackDeltas is ReadPack plus the per-timestep change summaries decoded
-// from a delta-encoded dataset: deltas[i] describes what changed
-// between timesteps ps+i-1 and ps+i. Entries are nil where the store carries
-// no change information (full-format datasets, or the collection's first
-// timestep).
+// ReadPackDeltas decodes the pack starting at ps into full instances,
+// reading every partition's and bin's slice file, plus the per-timestep
+// change summaries of a delta-encoded dataset: deltas[i] describes what
+// changed between timesteps ps+i-1 and ps+i. Entries are nil where the store
+// carries no change information (full-format datasets, or the collection's
+// first timestep). sliceReads reports how many slice files were read. inj,
+// when non-nil, arms the gofs.load failpoint. The decode touches no shared
+// state, so concurrent calls on one Store are safe — the single-flight
+// grouping that avoids duplicating them lives in InstanceCache.
 func (s *Store) ReadPackDeltas(ps int, inj *chaos.Injector) (instances []*graph.Instance, deltas []*graph.Delta, sliceReads int, err error) {
-	if err := inj.Hit(chaos.SiteGoFSLoad); err != nil {
-		return nil, nil, 0, fmt.Errorf("gofs: loading pack %d: %w", ps, err)
-	}
-	return s.readPackSlices(ps, nil)
+	return s.readPack(ps, inj, nil)
 }
 
-// ReadPackDeltasParts is ReadPackDeltas restricted to a subset of
-// partitions: slice files for partitions p with !want[p] are skipped
-// entirely (no read, no decode), leaving those partitions' columns at zero
-// values in the returned instances. This is how a shard rank loads only
-// its owned partitions — the dominant cost of a pack load (slice I/O,
-// attribute decode) scales with the partitions actually wanted. The
-// returned deltas likewise summarize only the wanted partitions' changes.
-// nil want loads everything.
-func (s *Store) ReadPackDeltasParts(ps int, inj *chaos.Injector, want []bool) (instances []*graph.Instance, deltas []*graph.Delta, sliceReads int, err error) {
+// readPack is ReadPackDeltas restricted to a subset of partitions: slice
+// files for partitions p with !want[p] are skipped entirely (no read, no
+// decode), leaving those partitions' columns at zero values in the returned
+// instances. This is how a shard rank loads only its owned partitions — the
+// dominant cost of a pack load (slice I/O, attribute decode) scales with the
+// partitions actually wanted. The returned deltas likewise summarize only
+// the wanted partitions' changes. nil want loads everything.
+func (s *Store) readPack(ps int, inj *chaos.Injector, want []bool) ([]*graph.Instance, []*graph.Delta, int, error) {
 	if err := inj.Hit(chaos.SiteGoFSLoad); err != nil {
 		return nil, nil, 0, fmt.Errorf("gofs: loading pack %d: %w", ps, err)
 	}
@@ -446,7 +331,7 @@ func readRecord(r *reader, t *graph.Template, instances []*graph.Instance, delta
 }
 
 // LoadAll materializes the entire collection in memory (small datasets and
-// tests). It uses a fresh loader so the caller's cache is untouched.
+// tests). It reads through a fresh loader so no caller's cache is touched.
 func (s *Store) LoadAll() (*graph.Collection, error) {
 	m := s.m()
 	c := graph.NewCollection(s.template, m.T0, m.Delta)
@@ -462,7 +347,3 @@ func (s *Store) LoadAll() (*graph.Collection, error) {
 	}
 	return c, nil
 }
-
-// Timesteps returns the number of stored instances; together with Load it
-// lets a Loader serve as a TI-BSP instance source.
-func (l *Loader) Timesteps() int { return l.store.Timesteps() }

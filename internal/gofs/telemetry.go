@@ -12,8 +12,8 @@ import (
 // pack decodes and slice-file reads, a bytes-read counter, and static
 // encoding-shape gauges (delta-chain depth, snapshot/delta step split)
 // computed from the manifest. Every Store carries one (created at Open),
-// so Loader, InstanceCache, ReadPack, and LoadAll all feed the same
-// counters without any caller wiring; a daemon that wants the families on
+// so InstanceCache, ReadPackDeltas and LoadAll all feed the same counters
+// without any caller wiring; a daemon that wants the families on
 // /metrics registers the store's Telemetry with its obs.Registry.
 //
 // Observation is two atomic adds plus a bounded scan over 20 bucket
@@ -90,6 +90,14 @@ func (t *Telemetry) ObserveSliceRead(d time.Duration) {
 		return
 	}
 	t.sliceRead.Observe(d)
+}
+
+// SliceReads returns the number of slice-file reads so far.
+func (t *Telemetry) SliceReads() uint64 {
+	if t == nil {
+		return 0
+	}
+	return t.sliceRead.Count()
 }
 
 // AddBytesRead accumulates slice-file bytes read off disk.

@@ -122,6 +122,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&q); err != nil {
+		s.metrics.bad.Add(1)
 		writeError(w, http.StatusBadRequest, "malformed query: "+err.Error(), 0)
 		return
 	}

@@ -127,22 +127,19 @@ func TestHTTPErrorMapping(t *testing.T) {
 	ts := httptest.NewServer(NewMux(s, reg))
 	defer ts.Close()
 
-	// Malformed JSON and unknown fields are 400s.
-	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader("{"))
-	if err != nil {
-		t.Fatal(err)
+	// Malformed JSON and unknown fields are 400s, counted as bad queries.
+	for _, body := range []string{`{"kind":`, `{"kind":"tdsp","bogusfield":1}`} {
+		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: %s, want 400", body, resp.Status)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed body: %s", resp.Status)
-	}
-	resp, err = http.Post(ts.URL+"/query", "application/json", strings.NewReader(`{"kind":"tdsp","sauce":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field: %s", resp.Status)
+	if n := s.metrics.bad.Load(); n != 2 {
+		t.Fatalf("tsserve_queries_bad_total = %d after two malformed bodies, want 2", n)
 	}
 
 	// Validation failures are 400s.

@@ -5,7 +5,9 @@
 #
 #   1. reference: a clean 4-rank tsrun TDSP mesh over loopback TCP, whose
 #                 ranks' finalized counts must sum to what a single-process
-#                 tsrun reaches on the same dataset;
+#                 tsrun reaches on the same dataset, and a single-process
+#                 -checkpoint run that must report the plain run's tdsp
+#                 line (same reach, same early halt);
 #   2. kill:      the same mesh with timestep-boundary checkpointing on,
 #                 where rank 2 dies on an injected gofs.load fault (the
 #                 timestep-8 pack load) and its fail-fast peers die with it;
@@ -52,6 +54,15 @@ if [ -z "$single" ] || [ "$meshed" != "$single" ]; then
     exit 1
 fi
 echo "   ranks finalized $meshed vertices in all, as the single-process run reached"
+"$WORK/tsrun" -in "$WORK/ds" -algo tdsp -checkpoint "$WORK/ck_single" >"$WORK/single_ck.out" 2>&1 \
+    || { echo "FAIL: single-process -checkpoint run exited nonzero"; tail -n 5 "$WORK/single_ck.out"; exit 1; }
+plain_line=$(grep '^tdsp:' "$WORK/single.out")
+ck_line=$(grep '^tdsp:' "$WORK/single_ck.out" || true)
+if [ "$ck_line" != "$plain_line" ]; then
+    echo "FAIL: -checkpoint run printed '${ck_line}', the plain run '${plain_line}'"
+    exit 1
+fi
+echo "   single-process -checkpoint run matches the plain run: $ck_line"
 
 echo "== phase 2: checkpointed run killed by a chaos gofs.load fault on rank 2"
 A=$(addrs $((PORT + 10)))

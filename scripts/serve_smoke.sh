@@ -8,7 +8,8 @@
 #   1. every response is 200 or 429, and every 429 carries Retry-After;
 #   2. each query kind succeeds at least once and accepted-query p99 stays
 #      under a bound;
-#   3. an invalid query answers 400 and counts in tsserve_queries_bad_total,
+#   3. an invalid query and a malformed body each answer 400 and count in
+#      tsserve_queries_bad_total,
 #      the load step left tsserve_queries_failed_total at 0, /metrics
 #      exposes the serving counters, latency histograms, runtime telemetry,
 #      and build info, and /debug/flight answers with recorder counters;
@@ -48,15 +49,17 @@ echo "tsserve at $ADDR"
 echo "== 200 concurrent mixed queries (only 200/429 allowed, p99 <= $P99)"
 "$WORK/serveload" -addr "http://$ADDR" -n 200 -c 200 -p99 "$P99"
 
-echo "== an invalid query answers 400"
+echo "== an invalid query and a malformed body answer 400"
 CODE="$(curl -s -o "$WORK/bad.json" -w '%{http_code}' "http://$ADDR/query" -d '{"kind":"bogus"}')"
 [ "$CODE" = 400 ] || { echo "FAIL: invalid query answered $CODE, want 400"; cat "$WORK/bad.json"; exit 1; }
+CODE="$(curl -s -o "$WORK/malformed.json" -w '%{http_code}' "http://$ADDR/query" -d '{"kind":')"
+[ "$CODE" = 400 ] || { echo "FAIL: malformed body answered $CODE, want 400"; cat "$WORK/malformed.json"; exit 1; }
 
 echo "== /metrics carries the serving counters"
 METRICS="$WORK/metrics.txt"
 fetch_metrics "$ADDR" "$METRICS"
-[ "$(metric_sum "$METRICS" tsserve_queries_bad_total)" -ge 1 ] \
-    || { echo "FAIL: tsserve_queries_bad_total did not count the invalid query"; exit 1; }
+[ "$(metric_sum "$METRICS" tsserve_queries_bad_total)" -ge 2 ] \
+    || { echo "FAIL: tsserve_queries_bad_total did not count the invalid query and the malformed body"; exit 1; }
 [ "$(metric_sum "$METRICS" tsserve_queries_failed_total)" = 0 ] \
     || { echo "FAIL: tsserve_queries_failed_total is not 0 after the load step"; grep tsserve_queries_failed_total "$METRICS"; exit 1; }
 require_metric "$METRICS" tsserve_queries_answered_total

@@ -204,8 +204,9 @@ func NewRecorder(k int) *Recorder { return metrics.NewRecorder(k) }
 type (
 	// Store is an opened GoFS dataset.
 	Store = gofs.Store
-	// Loader incrementally materializes instances from slice files.
-	Loader = gofs.Loader
+	// Loader materializes instances from slice files through a bounded
+	// cache of decoded temporal packs; NewLoader's holds one pack.
+	Loader = gofs.InstanceCache
 )
 
 // WriteDataset persists a collection as a GoFS dataset with the given
@@ -217,8 +218,8 @@ func WriteDataset(dir string, c *Collection, a *Assignment, pack, bin int) error
 // OpenDataset opens a GoFS dataset directory.
 func OpenDataset(dir string) (*Store, error) { return gofs.Open(dir) }
 
-// NewLoader creates a lazy instance loader over an open store; it satisfies
-// InstanceSource.
+// NewLoader creates a lazy instance loader over an open store: a one-pack
+// cache that satisfies InstanceSource.
 func NewLoader(s *Store) *Loader { return gofs.NewLoader(s) }
 
 // Synthetic dataset generators (the paper's §IV-A data model).
