@@ -6,7 +6,6 @@
 package algorithms
 
 import (
-	"container/heap"
 	"encoding/gob"
 	"math"
 	"sort"
@@ -94,28 +93,65 @@ func masterSubgraph(parts []*subgraph.PartitionData) subgraph.ID {
 	return best
 }
 
-// pqItem and pq implement the binary heap used by in-subgraph Dijkstra.
+// pqItem is one entry of the in-subgraph Dijkstra heap.
 type pqItem struct {
 	v int32 // partition-local vertex index
 	d float64
 }
 
+// pq is the binary min-heap of in-subgraph Dijkstra. init, push and pop
+// sift exactly as container/heap does (strict <, the same swaps), so items
+// pop in the same order, without boxing each one in an interface.
 type pq []pqItem
 
-func (h pq) Len() int           { return len(h) }
-func (h pq) Less(i, j int) bool { return h[i].d < h[j].d }
-func (h pq) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h pq) init() {
+	n := len(h)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+}
 
-// Push implements heap.Interface.
-func (h *pq) Push(x any) { *h = append(*h, x.(pqItem)) }
+func (h *pq) push(it pqItem) {
+	*h = append(*h, it)
+	h.up(len(*h) - 1)
+}
 
-// Pop implements heap.Interface.
-func (h *pq) Pop() any {
+func (h *pq) pop() pqItem {
 	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	*h = old[:n]
+	return old[n]
+}
+
+func (h pq) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].d < h[i].d) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h pq) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].d < h[j1].d {
+			j = j2 // right child
+		}
+		if !(h[j].d < h[i].d) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // remoteKey identifies a remote target vertex by (partition, local index).
@@ -135,7 +171,9 @@ type remoteCand struct {
 // settling only labels ≤ horizon (the paper's ModifiedSSSP). labels is the
 // partition-local label array shared by the partition's subgraphs (each
 // touches only its own vertices); final vertices are never relaxed.
-// It returns the best candidate label per remote neighbor vertex.
+// It returns the best candidate label per remote neighbor vertex (nil when
+// there is none). If reached is non-nil, every local vertex whose label
+// goes from ∞ to finite is appended to it.
 //
 // weight(e) returns the travel time of partition-local edge slot e.
 func modifiedSSSP(
@@ -145,16 +183,17 @@ func modifiedSSSP(
 	roots []int32,
 	horizon float64,
 	weight func(localEdge int) float64,
+	reached *[]int32,
 ) map[remoteKey]remoteCand {
 	pd := sg.Part
 	h := make(pq, 0, len(roots))
 	for _, r := range roots {
 		h = append(h, pqItem{v: r, d: labels[r]})
 	}
-	heap.Init(&h)
-	remote := make(map[remoteKey]remoteCand)
-	for h.Len() > 0 {
-		it := heap.Pop(&h).(pqItem)
+	h.init()
+	var remote map[remoteKey]remoteCand
+	for len(h) > 0 {
+		it := h.pop()
 		if it.d > labels[it.v] {
 			continue // stale entry
 		}
@@ -171,6 +210,9 @@ func modifiedSSSP(
 			if isRemote, ri := pd.IsRemote(e); isRemote {
 				re := &pd.Remote[ri]
 				key := remoteKey{part: re.TargetPartition, local: re.TargetLocal}
+				if remote == nil {
+					remote = make(map[remoteKey]remoteCand)
+				}
 				if cur, ok := remote[key]; !ok || nd < cur.label {
 					remote[key] = remoteCand{label: nd, sgIdx: re.TargetSubgraph}
 				}
@@ -181,8 +223,11 @@ func modifiedSSSP(
 				continue // finalized TDSP values are immutable
 			}
 			if nd < labels[tgt] {
+				if reached != nil && labels[tgt] == Inf {
+					*reached = append(*reached, tgt)
+				}
 				labels[tgt] = nd
-				heap.Push(&h, pqItem{v: tgt, d: nd})
+				h.push(pqItem{v: tgt, d: nd})
 			}
 		}
 	}

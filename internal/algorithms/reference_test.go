@@ -1,10 +1,6 @@
 package algorithms
 
-import (
-	"container/heap"
-
-	"tsgraph/internal/graph"
-)
+import "tsgraph/internal/graph"
 
 // Reference (global, non-distributed) implementations of the paper's
 // algorithms, used to validate the distributed TI-BSP versions.
@@ -21,8 +17,8 @@ func refDijkstra(g *graph.Template, src int, weights []float64) []float64 {
 	}
 	dist[src] = 0
 	h := pq{{v: int32(src), d: 0}}
-	for h.Len() > 0 {
-		it := heap.Pop(&h).(pqItem)
+	for len(h) > 0 {
+		it := h.pop()
 		if it.d > dist[it.v] {
 			continue
 		}
@@ -36,7 +32,7 @@ func refDijkstra(g *graph.Template, src int, weights []float64) []float64 {
 			v := g.Target(e)
 			if nd < dist[v] {
 				dist[v] = nd
-				heap.Push(&h, pqItem{v: int32(v), d: nd})
+				h.push(pqItem{v: int32(v), d: nd})
 			}
 		}
 	}
@@ -77,9 +73,9 @@ func refTDSP(c *graph.Collection, src, depart int, attr string, delta float64) (
 				h = append(h, pqItem{v: int32(v), d: seed})
 			}
 		}
-		heap.Init(&h)
-		for h.Len() > 0 {
-			it := heap.Pop(&h).(pqItem)
+		h.init()
+		for len(h) > 0 {
+			it := h.pop()
 			if it.d > dist[it.v] {
 				continue
 			}
@@ -95,7 +91,7 @@ func refTDSP(c *graph.Collection, src, depart int, attr string, delta float64) (
 				}
 				if nd < dist[v] {
 					dist[v] = nd
-					heap.Push(&h, pqItem{v: int32(v), d: nd})
+					h.push(pqItem{v: int32(v), d: nd})
 				}
 			}
 		}

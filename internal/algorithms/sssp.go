@@ -106,7 +106,7 @@ func (p *SSSPProgram) Compute(ctx *core.Context, sg *subgraph.Subgraph, timestep
 	}
 
 	if len(roots) > 0 {
-		remote := modifiedSSSP(sg, labels, nil, roots, Inf, p.weightFn(ctx, sg))
+		remote := modifiedSSSP(sg, labels, nil, roots, Inf, p.weightFn(ctx, sg), nil)
 		forEachBatch(remote, func(dst subgraph.ID, b LabelBatch) { ctx.SendTo(dst, b) })
 	}
 	ctx.VoteToHalt()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"tsgraph/internal/bsp"
@@ -70,12 +71,19 @@ type vloc struct {
 	pid int
 	lv  int32
 	sgi int32 // subgraph index within the partition
+	k   int32 // row of the vertex in the frozen Arrival table
 }
 
 // srcSeed is one batch query's source vertex inside a subgraph.
 type srcSeed struct {
 	si int
 	lv int32
+}
+
+// frozenArrival is one (query, named vertex) answer kept by Release.
+type frozenArrival struct {
+	arrival float64
+	at      int32 // -1: never reached
 }
 
 // BatchTDSPProgram is the repo's one implementation of Algorithm 2 of the
@@ -86,13 +94,19 @@ type srcSeed struct {
 // edges, the seeds of the next timestep at label timestep·δ.
 //
 // It runs the algorithm for many sources simultaneously over ONE sweep:
-// per-source label/finalized state is kept side by side (flattened
-// [source][vertex] arrays per partition), messages are tagged with their
-// source, and each timestep's ModifiedSSSP runs once per source with roots.
-// The per-timestep fixed costs — instance load, superstep barriers, engine
+// per-source label/finalized state is kept side by side (one dense slab
+// per source per partition), messages are tagged with their source, and
+// each timestep's ModifiedSSSP runs once per source with roots. The
+// per-timestep fixed costs — instance load, superstep barriers, engine
 // setup — are paid once for the whole batch, which is what makes
 // micro-batched serving (internal/serve) win over one sweep per query. The
 // paper's single-source program is a batch of one (NewTDSP).
+//
+// A timestep costs what its wave reaches, not the graph: finalized state
+// persists across timesteps, only the boundary of the finalized set rides
+// the temporal edge (interior finals relax nothing), and each subgraph
+// lists the vertices it reached so the end of the timestep walks those
+// instead of every vertex.
 //
 // It deliberately does NOT implement core.IncrementalProgram: a subgraph
 // whose edge latencies are unchanged still does new work every timestep,
@@ -122,12 +136,19 @@ type BatchTDSPProgram struct {
 	// served batch reads answers through Arrival and must not pay for it.
 	results bool
 	nsrc    int
-	// Per-partition state, flattened [si*numVertices + lv]; written only by
-	// the owning subgraph's Compute/EndOfTimestep.
-	labels       [][]float64
-	final        [][]bool
-	finalArrival [][]float64
-	finalAt      [][]int32 // timestep each slot finalized at; -1 until then
+	// parts is the partitioned view, indexed by PID (nil where a host does
+	// not hold the partition).
+	parts []*subgraph.PartitionData
+	// slabs[pid][si] is query si's dense state over partition pid; written
+	// only by the owning subgraph's Compute/EndOfTimestep. nil after
+	// Release.
+	slabs [][]*tdspSlab
+	// pooled reports that every slab is tracked by its finals lists, so
+	// Release can clean it and return it to the pool. A failed sweep or a
+	// RestoreCheckpoint clears it.
+	pooled bool
+	// frozen is Release's answer table, [vloc.k*nsrc + si].
+	frozen []frozenArrival
 	// srcLocal lists, per subgraph, the batch sources it holds.
 	srcLocal map[subgraph.ID][]srcSeed
 	// targetsOf maps, per partition, a local vertex to the query indices
@@ -202,8 +223,9 @@ func NewBatchTDSP(parts []*subgraph.PartitionData, queries []BatchQuery, depart 
 	return p, nil
 }
 
-// newBatchTDSP allocates the per-partition state and locates the vertices
-// the queries name; a named vertex outside parts is left out of loc.
+// newBatchTDSP takes the per-partition state from the slab pool and
+// locates the vertices the queries name; a named vertex outside parts is
+// left out of loc.
 func newBatchTDSP(parts []*subgraph.PartitionData, queries []BatchQuery, depart int, delta float64, weightAttr string) *BatchTDSPProgram {
 	p := &BatchTDSPProgram{
 		Queries:    queries,
@@ -211,44 +233,34 @@ func newBatchTDSP(parts []*subgraph.PartitionData, queries []BatchQuery, depart 
 		Delta:      delta,
 		WeightAttr: weightAttr,
 		nsrc:       len(queries),
+		pooled:     true,
 		srcLocal:   make(map[subgraph.ID][]srcSeed),
 		targetsOf:  make(map[int]map[int32][]int32),
 		loc:        make(map[int]vloc),
 		remaining:  make([]atomic.Int32, len(queries)),
 		retiredAt:  make([]atomic.Int32, len(queries)),
 	}
-	needed := make(map[int]bool)
+	n := maxPID(parts)
+	p.parts = make([]*subgraph.PartitionData, n)
+	p.slabs = make([][]*tdspSlab, n)
+	for _, pd := range parts {
+		p.parts[pd.PID] = pd
+		slabs := make([]*tdspSlab, p.nsrc)
+		for si := range slabs {
+			slabs[si] = getSlab(pd.NumVertices(), len(pd.Subgraphs))
+		}
+		p.slabs[pd.PID] = slabs
+	}
 	for i, q := range queries {
-		needed[q.Source] = true
+		p.locate(parts, q.Source)
 		for _, tgt := range q.Targets {
-			needed[tgt] = true
+			p.locate(parts, tgt)
 		}
 		p.retiredAt[i].Store(-1)
 		if len(q.Targets) == 0 {
 			p.remaining[i].Store(-1)
 		} else {
 			p.remaining[i].Store(int32(len(q.Targets)))
-		}
-	}
-	n := maxPID(parts)
-	p.labels = make([][]float64, n)
-	p.final = make([][]bool, n)
-	p.finalArrival = make([][]float64, n)
-	p.finalAt = make([][]int32, n)
-	for _, pd := range parts {
-		nv := pd.NumVertices()
-		p.labels[pd.PID] = make([]float64, p.nsrc*nv)
-		p.final[pd.PID] = make([]bool, p.nsrc*nv)
-		p.finalArrival[pd.PID] = make([]float64, p.nsrc*nv)
-		at := make([]int32, p.nsrc*nv)
-		for i := range at {
-			at[i] = -1
-		}
-		p.finalAt[pd.PID] = at
-		for lv, g := range pd.GlobalIdx {
-			if needed[int(g)] {
-				p.loc[int(g)] = vloc{pid: pd.PID, lv: int32(lv), sgi: pd.SubgraphOf[lv]}
-			}
 		}
 	}
 	for si, q := range queries {
@@ -270,6 +282,20 @@ func newBatchTDSP(parts []*subgraph.PartitionData, queries []BatchQuery, depart 
 		}
 	}
 	return p
+}
+
+// locate adds a named template vertex to loc. A partition's local indices
+// follow global order, so each partition is one binary search.
+func (p *BatchTDSPProgram) locate(parts []*subgraph.PartitionData, g int) {
+	if _, ok := p.loc[g]; ok || int(int32(g)) != g {
+		return
+	}
+	for _, pd := range parts {
+		if lv, ok := slices.BinarySearch(pd.GlobalIdx, int32(g)); ok {
+			p.loc[g] = vloc{pid: pd.PID, lv: int32(lv), sgi: pd.SubgraphOf[lv], k: int32(len(p.loc))}
+			return
+		}
+	}
 }
 
 // live reports whether query si still does work at a timestep: it has not
@@ -301,17 +327,16 @@ func edgeWeightFn(ctx *core.Context, sg *subgraph.Subgraph, weightAttr, existsAt
 //
 // Most subgraphs sit outside the TDSP wave in most timesteps, and what such
 // a call costs is what the elastic-headroom analysis (and Fig 7's idle
-// hosts) reads as idleness, so it is kept to the label reset alone. The
-// engine runs each timestep's calls on fresh goroutines with minimal
-// stacks: a deep call on this path (the seed-map lookup out of a wide
-// frame) crosses the initial stack and costs a ~2 µs growth per call, five
-// times the reset itself. Everything that expands labels therefore lives
-// in relax, entered only with messages to apply or, in the departure
-// timestep, a source to seed.
+// hosts) reads as idleness, so it does nothing but vote to halt. Alg 2's
+// per-timestep reset (lines 3–11, labels ← ∞) needs no pass either: every
+// vertex that gets a finite label in a timestep is finalized at its end,
+// so every label that is not final is already ∞ when the next timestep
+// starts. The engine runs each timestep's calls on fresh goroutines with
+// minimal stacks: a deep call on this path (the seed-map lookup out of a
+// wide frame) crosses the initial stack and costs a ~2 µs growth per call.
+// Everything that expands labels therefore lives in relax, entered only
+// with messages to apply or, in the departure timestep, a source to seed.
 func (p *BatchTDSPProgram) Compute(ctx *core.Context, sg *subgraph.Subgraph, timestep, superstep int, msgs []bsp.Message) {
-	if superstep == 0 {
-		p.reset(sg, timestep)
-	}
 	departing := superstep == 0 && timestep == p.Depart
 	if len(msgs) > 0 || (departing && len(p.srcLocal[sg.SID]) > 0) {
 		p.relax(ctx, sg, timestep, superstep, msgs)
@@ -319,35 +344,15 @@ func (p *BatchTDSPProgram) Compute(ctx *core.Context, sg *subgraph.Subgraph, tim
 	ctx.VoteToHalt()
 }
 
-// reset is Alg 2 lines 3–11 at the top of a timestep: labels ← ∞ for every
-// live source; all other labels are discarded (edge values changed).
-// Retired queries are skipped wholesale — no rebuild, no re-seed, no
-// expansion — which is what keeps a batch member's cost proportional to its
-// own resolution time, not the batch's.
-func (p *BatchTDSPProgram) reset(sg *subgraph.Subgraph, timestep int) {
-	nv, verts := sg.Part.NumVertices(), sg.Verts
-	labels, final := p.labels[sg.Part.PID], p.final[sg.Part.PID]
-	for si := 0; si < p.nsrc; si++ {
-		if !p.live(si, timestep) {
-			continue
-		}
-		lab, fin := labels[si*nv:(si+1)*nv], final[si*nv:(si+1)*nv]
-		for _, lv := range verts {
-			lab[lv] = Inf
-			fin[lv] = false
-		}
-	}
-}
-
 // relax is the working half of Compute: collect each source's roots — its
-// seed at departure, its finalized set at any later superstep 0, improved
-// boundary labels after that — and expand them with one horizon-capped
-// ModifiedSSSP per source.
+// seed at departure, the boundary of its finalized set at any later
+// superstep 0, improved boundary labels after that — and expand them with
+// one horizon-capped ModifiedSSSP per source. Retired queries are skipped
+// wholesale, which keeps a batch member's cost proportional to its own
+// resolution time, not the batch's.
 func (p *BatchTDSPProgram) relax(ctx *core.Context, sg *subgraph.Subgraph, timestep, superstep int, msgs []bsp.Message) {
-	pd := sg.Part
-	nv := pd.NumVertices()
-	labels := p.labels[pd.PID]
-	final := p.final[pd.PID]
+	slabs := p.slabs[sg.Part.PID]
+	sgi := sg.SID.Index()
 	roots := make([][]int32, p.nsrc)
 
 	switch {
@@ -356,12 +361,15 @@ func (p *BatchTDSPProgram) relax(ctx *core.Context, sg *subgraph.Subgraph, times
 		// this subgraph at the departure time.
 		depart := float64(p.Depart) * p.Delta
 		for _, s := range p.srcLocal[sg.SID] {
-			labels[s.si*nv+int(s.lv)] = depart
+			sl := slabs[s.si]
+			sl.labels[s.lv] = depart
+			sl.sgs[sgi].finals = append(sl.sgs[sgi].finals, s.lv)
 			roots[s.si] = append(roots[s.si], s.lv)
 		}
 	case superstep == 0:
-		// Rebuild each live source's state from its temporal message: the
-		// finalized set re-seeds at timestep·δ via the idling edges.
+		// The boundary of each live source's finalized set re-seeds at
+		// timestep·δ via the idling edges; interior finals would relax
+		// nothing.
 		seed := float64(timestep) * p.Delta
 		for _, m := range msgs {
 			f := m.Payload.(BatchVertexSet)
@@ -369,11 +377,13 @@ func (p *BatchTDSPProgram) relax(ctx *core.Context, sg *subgraph.Subgraph, times
 			if !p.live(si, timestep) {
 				continue
 			}
-			base := si * nv
+			sl := slabs[si]
 			for _, lv := range f.Vertices {
-				labels[base+int(lv)] = seed
-				final[base+int(lv)] = true
+				sl.labels[lv] = seed
 			}
+			// Already so unless the state was just restored from a
+			// checkpoint, whose pending messages carry the boundary.
+			sl.sgs[sgi].boundary = f.Vertices
 			roots[si] = append(roots[si], f.Vertices...)
 		}
 	default:
@@ -384,11 +394,13 @@ func (p *BatchTDSPProgram) relax(ctx *core.Context, sg *subgraph.Subgraph, times
 			if !p.live(si, timestep) {
 				continue
 			}
-			base := si * nv
+			sl := slabs[si]
 			for i, lv := range b.Vertices {
-				idx := base + int(lv)
-				if !final[idx] && b.Labels[i] < labels[idx] {
-					labels[idx] = b.Labels[i]
+				if !sl.final[lv] && b.Labels[i] < sl.labels[lv] {
+					if sl.labels[lv] == Inf {
+						sl.sgs[sgi].finals = append(sl.sgs[sgi].finals, lv)
+					}
+					sl.labels[lv] = b.Labels[i]
 					roots[si] = append(roots[si], lv)
 				}
 			}
@@ -404,8 +416,8 @@ func (p *BatchTDSPProgram) relax(ctx *core.Context, sg *subgraph.Subgraph, times
 		if weight == nil {
 			weight = edgeWeightFn(ctx, sg, p.WeightAttr, p.ExistsAttr)
 		}
-		base := si * nv
-		remote := modifiedSSSP(sg, labels[base:base+nv], final[base:base+nv], r, horizon, weight)
+		sl := slabs[si]
+		remote := modifiedSSSP(sg, sl.labels, sl.final, r, horizon, weight, &sl.sgs[sgi].finals)
 		forEachBatch(remote, func(dst subgraph.ID, b LabelBatch) {
 			ctx.SendTo(dst, BatchLabelBatch{Source: int32(si), Vertices: b.Vertices, Labels: b.Labels})
 		})
@@ -413,15 +425,19 @@ func (p *BatchTDSPProgram) relax(ctx *core.Context, sg *subgraph.Subgraph, times
 }
 
 // EndOfTimestep implements Alg 2 lines 26–31 per batch member: finalize
-// newly reached vertices, count resolved targets, and pass each source's
-// finalized set along the temporal edge.
+// the vertices reached in this timestep, count resolved targets, and pass
+// the boundary of each source's finalized set along the temporal edge.
+//
+// Line 31 sends all of F. A final vertex whose template out-edges all lead
+// to final vertices of its own subgraph relaxes nothing when re-seeded, so
+// only the boundary is sent: finals with a remote out-edge or a non-final
+// local out-neighbour. Arrivals and data messages are identical by
+// construction. The boundary is judged on template edges, not the
+// instance's, because an edge absent now may exist in the next instance.
 func (p *BatchTDSPProgram) EndOfTimestep(ctx *core.EndContext, sg *subgraph.Subgraph, timestep int) {
 	pd := sg.Part
-	nv := pd.NumVertices()
-	labels := p.labels[pd.PID]
-	final := p.final[pd.PID]
-	arrival := p.finalArrival[pd.PID]
-	at := p.finalAt[pd.PID]
+	slabs := p.slabs[pd.PID]
+	sgi := sg.SID.Index()
 	targets := p.targetsOf[pd.PID]
 
 	var newly, targetsDone int64
@@ -430,40 +446,56 @@ func (p *BatchTDSPProgram) EndOfTimestep(ctx *core.EndContext, sg *subgraph.Subg
 		if !p.live(si, timestep) {
 			continue // retired in an earlier timestep: state is frozen
 		}
-		base := si * nv
-		var all []int32
-		for _, lv := range sg.Verts {
-			idx := base + int(lv)
-			if !final[idx] && labels[idx] != Inf {
-				final[idx] = true
-				arrival[idx] = labels[idx]
-				at[idx] = int32(timestep)
-				newly++
-				if p.results {
-					ctx.Output(TDSPResult{
-						Vertex:   ctx.Template().VertexID(int(pd.GlobalIdx[lv])),
-						Timestep: timestep,
-						Arrival:  arrival[idx],
-					})
-				}
-				for _, tsi := range targets[lv] {
-					if int(tsi) == si {
-						targetsDone++
-						if p.remaining[si].Add(-1) == 0 {
-							p.retiredAt[si].Store(int32(timestep))
-						}
+		sl := slabs[si]
+		st := &sl.sgs[sgi]
+		reached := st.finals[st.mark:]
+		if p.results {
+			slices.Sort(reached) // outputs in ascending local index
+		}
+		for _, lv := range reached {
+			sl.final[lv] = true
+			sl.arrival[lv] = sl.labels[lv]
+			sl.at[lv] = int32(timestep)
+			if p.results {
+				ctx.Output(TDSPResult{
+					Vertex:   ctx.Template().VertexID(int(pd.GlobalIdx[lv])),
+					Timestep: timestep,
+					Arrival:  sl.arrival[lv],
+				})
+			}
+			for _, tsi := range targets[lv] {
+				if int(tsi) == si {
+					targetsDone++
+					if p.remaining[si].Add(-1) == 0 {
+						p.retiredAt[si].Store(int32(timestep))
 					}
 				}
 			}
-			if final[idx] {
-				all = append(all, lv)
+		}
+		newly += int64(len(reached))
+		st.nfinal += len(reached)
+		st.mark = len(st.finals)
+		if len(reached) > 0 {
+			// Only a newly final vertex can take a boundary vertex's last
+			// non-final neighbour, so with none the boundary stands.
+			next := make([]int32, 0, len(st.boundary)+len(reached))
+			for _, lv := range st.boundary {
+				if onBoundary(pd, sl.final, lv) {
+					next = append(next, lv)
+				}
 			}
+			for _, lv := range reached {
+				if onBoundary(pd, sl.final, lv) {
+					next = append(next, lv)
+				}
+			}
+			st.boundary = next
 		}
-		// F ← F ∪ F_timestep; send to next timestep.
-		if len(all) > 0 {
-			ctx.SendToNextTimestep(BatchVertexSet{Source: int32(si), Vertices: all})
+		// F ← F ∪ F_timestep; send its boundary to the next timestep.
+		if len(st.boundary) > 0 {
+			ctx.SendToNextTimestep(BatchVertexSet{Source: int32(si), Vertices: st.boundary})
 		}
-		if len(all) != sg.NumVertices() {
+		if st.nfinal != sg.NumVertices() {
 			allFinal = false
 		}
 	}
@@ -479,9 +511,22 @@ func (p *BatchTDSPProgram) EndOfTimestep(ctx *core.EndContext, sg *subgraph.Subg
 	}
 }
 
+// onBoundary reports whether final vertex lv can still relax something: it
+// has a remote out-edge or a local out-neighbour that is not final.
+func onBoundary(pd *subgraph.PartitionData, final []bool, lv int32) bool {
+	lo, hi := pd.OutEdges(int(lv))
+	for _, t := range pd.Targets[lo:hi] {
+		if t < 0 || !final[t] {
+			return true
+		}
+	}
+	return false
+}
+
 // tdspCheckpoint is the gob payload of a TDSP checkpoint: the accumulators
-// that outlive a timestep. Labels are rebuilt from the temporal message at
-// superstep 0 and need no persistence.
+// that outlive a timestep, flattened [si*numVertices + lv] per partition.
+// Labels are rebuilt from the temporal message at superstep 0 and need no
+// persistence.
 type tdspCheckpoint struct {
 	Final     [][]bool
 	Arrival   [][]float64
@@ -492,9 +537,20 @@ type tdspCheckpoint struct {
 
 // CheckpointState implements core.Checkpointer.
 func (p *BatchTDSPProgram) CheckpointState() ([]byte, error) {
+	if p.slabs == nil {
+		return nil, fmt.Errorf("algorithms: tdsp checkpoint after Release")
+	}
+	n := len(p.slabs)
 	st := tdspCheckpoint{
-		Final: p.final, Arrival: p.finalArrival, At: p.finalAt,
+		Final: make([][]bool, n), Arrival: make([][]float64, n), At: make([][]int32, n),
 		Remaining: make([]int32, p.nsrc), RetiredAt: make([]int32, p.nsrc),
+	}
+	for pid, slabs := range p.slabs {
+		for _, sl := range slabs {
+			st.Final[pid] = append(st.Final[pid], sl.final...)
+			st.Arrival[pid] = append(st.Arrival[pid], sl.arrival...)
+			st.At[pid] = append(st.At[pid], sl.at...)
+		}
 	}
 	for si := range st.Remaining {
 		st.Remaining[si] = p.remaining[si].Load()
@@ -507,19 +563,50 @@ func (p *BatchTDSPProgram) CheckpointState() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// RestoreCheckpoint implements core.Checkpointer.
+// RestoreCheckpoint implements core.Checkpointer. The restored state is not
+// tracked by finals lists, so its slabs never return to the pool.
 func (p *BatchTDSPProgram) RestoreCheckpoint(data []byte) error {
 	var st tdspCheckpoint
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("algorithms: tdsp restore: %w", err)
 	}
-	if len(st.Final) != len(p.final) || len(st.Arrival) != len(p.final) || len(st.At) != len(p.final) {
-		return fmt.Errorf("algorithms: tdsp restore: checkpoint has %d partitions, program has %d", len(st.Final), len(p.final))
+	if p.slabs == nil {
+		return fmt.Errorf("algorithms: tdsp restore after Release")
+	}
+	if len(st.Final) != len(p.slabs) || len(st.Arrival) != len(p.slabs) || len(st.At) != len(p.slabs) {
+		return fmt.Errorf("algorithms: tdsp restore: checkpoint has %d partitions, program has %d", len(st.Final), len(p.slabs))
 	}
 	if len(st.Remaining) != p.nsrc || len(st.RetiredAt) != p.nsrc {
 		return fmt.Errorf("algorithms: tdsp restore: checkpoint has %d queries, program has %d", len(st.Remaining), p.nsrc)
 	}
-	p.final, p.finalArrival, p.finalAt = st.Final, st.Arrival, st.At
+	for pid, pd := range p.parts {
+		if pd == nil {
+			continue
+		}
+		nv := pd.NumVertices()
+		if len(st.Final[pid]) != p.nsrc*nv || len(st.Arrival[pid]) != p.nsrc*nv || len(st.At[pid]) != p.nsrc*nv {
+			return fmt.Errorf("algorithms: tdsp restore: partition %d state does not fit %d queries of %d vertices", pid, p.nsrc, nv)
+		}
+	}
+	p.pooled = false
+	for pid, pd := range p.parts {
+		if pd == nil {
+			continue
+		}
+		nv := pd.NumVertices()
+		for si := range p.slabs[pid] {
+			sl := newSlab(nv, len(pd.Subgraphs))
+			sl.final = st.Final[pid][si*nv : (si+1)*nv]
+			sl.arrival = st.Arrival[pid][si*nv : (si+1)*nv]
+			sl.at = st.At[pid][si*nv : (si+1)*nv]
+			for lv, fin := range sl.final {
+				if fin {
+					sl.sgs[pd.SubgraphOf[lv]].nfinal++
+				}
+			}
+			p.slabs[pid][si] = sl
+		}
+	}
 	for si := range st.Remaining {
 		p.remaining[si].Store(st.Remaining[si])
 		p.retiredAt[si].Store(st.RetiredAt[si])
@@ -530,18 +617,56 @@ func (p *BatchTDSPProgram) RestoreCheckpoint(data []byte) error {
 // Arrival returns query si's earliest arrival at a template vertex index
 // that the batch named as a source or target, plus the timestep it
 // finalized in. ok is false if the vertex was never reached within the
-// processed window (or was not named by the batch).
+// processed window (or was not named by the batch). It answers the same
+// before and after Release.
 func (p *BatchTDSPProgram) Arrival(si int, vertex int) (arrival float64, timestep int, ok bool) {
 	l, found := p.loc[vertex]
 	if !found || si < 0 || si >= p.nsrc {
 		return Inf, -1, false
 	}
-	nv := len(p.final[l.pid]) / p.nsrc
-	idx := si*nv + int(l.lv)
-	if !p.final[l.pid][idx] {
+	if p.slabs == nil {
+		a := p.frozen[int(l.k)*p.nsrc+si]
+		return a.arrival, int(a.at), a.at >= 0
+	}
+	sl := p.slabs[l.pid][si]
+	if !sl.final[l.lv] {
 		return Inf, -1, false
 	}
-	return p.finalArrival[l.pid][idx], int(p.finalAt[l.pid][idx]), true
+	return sl.arrival[l.lv], int(sl.at[l.lv]), true
+}
+
+// Release ends the sweep's use of its dense state: it freezes what Arrival
+// can answer (the named sources and targets) into a table of nsrc entries
+// per named vertex, resets the entries the sweep finalized, and returns the
+// slabs to the pool for the next program. A caller that answers through
+// Arrival alone (the serving tier, a shard rank) calls it once the sweep
+// succeeded; ArrivalsOf and checkpoints need the dense state and fail
+// after it. State from a failed sweep or a restored checkpoint is not
+// tracked finalize by finalize, so it is dropped instead of pooled.
+// Release is idempotent.
+func (p *BatchTDSPProgram) Release() {
+	if p.slabs == nil {
+		return
+	}
+	frozen := make([]frozenArrival, len(p.loc)*p.nsrc)
+	for _, l := range p.loc {
+		for si := 0; si < p.nsrc; si++ {
+			a := frozenArrival{arrival: Inf, at: -1}
+			if sl := p.slabs[l.pid][si]; sl.final[l.lv] {
+				a = frozenArrival{arrival: sl.arrival[l.lv], at: sl.at[l.lv]}
+			}
+			frozen[int(l.k)*p.nsrc+si] = a
+		}
+	}
+	if p.pooled {
+		for _, slabs := range p.slabs {
+			for _, sl := range slabs {
+				sl.clean()
+				putSlab(sl)
+			}
+		}
+	}
+	p.frozen, p.slabs = frozen, nil
 }
 
 // Arrivals is ArrivalsOf for the single query of a NewTDSP program.
@@ -554,16 +679,21 @@ func (p *BatchTDSPProgram) Arrivals(parts []*subgraph.PartitionData, t *graph.Te
 // query with targets, the array reflects the timesteps processed before the
 // query retired (all targets resolved); arrivals at the named targets
 // themselves are always exact.
+//
+// It reads the dense state, so it panics after Release.
 func (p *BatchTDSPProgram) ArrivalsOf(si int, parts []*subgraph.PartitionData, t *graph.Template) []float64 {
+	if p.slabs == nil {
+		panic("algorithms: ArrivalsOf after Release: only Arrival answers a released TDSP program")
+	}
 	out := make([]float64, t.NumVertices())
 	for i := range out {
 		out[i] = Inf
 	}
 	for _, pd := range parts {
-		base := si * pd.NumVertices()
+		sl := p.slabs[pd.PID][si]
 		for lv, g := range pd.GlobalIdx {
-			if p.final[pd.PID][base+lv] {
-				out[g] = p.finalArrival[pd.PID][base+lv]
+			if sl.final[lv] {
+				out[g] = sl.arrival[lv]
 			}
 		}
 	}
@@ -606,7 +736,11 @@ func (p *BatchTDSPProgram) Sweep(job *core.Job) (*core.Result, error) {
 			return done >= want
 		}
 	}
-	return Sweep(job)
+	res, err := Sweep(job)
+	if err != nil {
+		p.pooled = false // a timestep may have stopped half done
+	}
+	return res, err
 }
 
 // RunTDSP runs single-source TDSP from src over all instances of a source,

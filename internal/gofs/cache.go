@@ -56,6 +56,7 @@ type cachedPack struct {
 	instances []*graph.Instance
 	deltas    []*graph.Delta
 	bytes     int64
+	sized     bool // bytes is set (at load when byte-bounded, else by Stats)
 	err       error
 	elem      *list.Element
 }
@@ -194,11 +195,7 @@ func (c *InstanceCache) load(timestep int, class string) (*graph.Instance, error
 		// the bounds check above already passed against a newer manifest.
 		c.mu.Lock()
 		if cur := c.packs[ps]; cur == e {
-			c.lru.Remove(e.elem)
-			e.elem = nil
-			delete(c.packs, ps)
-			c.bytes -= e.bytes
-			c.evictions++
+			c.dropLocked(e)
 		}
 		c.mu.Unlock()
 		return c.load(timestep, class)
@@ -216,9 +213,11 @@ func (c *InstanceCache) load(timestep int, class string) (*graph.Instance, error
 	decodeStart := time.Now()
 	instances, deltas, _, err := c.store.readPack(ps, c.Chaos, c.want)
 	dur := time.Since(decodeStart)
+	// Only the byte bound needs a pack's size at load; a pack-count cache
+	// sizes its packs when Stats asks.
 	var bytes int64
-	for _, ins := range instances {
-		bytes += instanceBytes(ins)
+	if c.maxBytes > 0 && err == nil {
+		bytes = decodedBytes(instances)
 	}
 
 	c.mu.Lock()
@@ -233,8 +232,10 @@ func (c *InstanceCache) load(timestep int, class string) (*graph.Instance, error
 		delete(c.packs, ps)
 	} else {
 		c.packLoads++
-		e.bytes = bytes
-		c.bytes += bytes
+		if c.maxBytes > 0 {
+			e.bytes, e.sized = bytes, true
+			c.bytes += bytes
+		}
 		snaps, dsteps := m.packStepKinds(ps, len(instances))
 		c.snapshotSteps += uint64(snaps)
 		c.deltaSteps += uint64(dsteps)
@@ -300,11 +301,7 @@ func (c *InstanceCache) evictLocked() {
 			default:
 				continue // still decoding
 			}
-			c.lru.Remove(el)
-			e.elem = nil
-			delete(c.packs, e.start)
-			c.bytes -= e.bytes
-			c.evictions++
+			c.dropLocked(e)
 			evicted = true
 			break
 		}
@@ -312,6 +309,17 @@ func (c *InstanceCache) evictLocked() {
 			return // everything over capacity is in flight
 		}
 	}
+}
+
+// dropLocked evicts a resident entry.
+func (c *InstanceCache) dropLocked(e *cachedPack) {
+	c.lru.Remove(e.elem)
+	e.elem = nil
+	delete(c.packs, e.start)
+	if c.maxBytes > 0 {
+		c.bytes -= e.bytes
+	}
+	c.evictions++
 }
 
 // ClassSource returns a view of the cache that attributes its cache
@@ -348,6 +356,10 @@ func (c *InstanceCache) Stats() CacheStats {
 			byClass[k] = *v
 		}
 	}
+	resident := c.bytes
+	if c.maxBytes == 0 {
+		resident = c.residentBytesLocked()
+	}
 	return CacheStats{
 		Hits:          c.hits,
 		Misses:        c.misses,
@@ -355,12 +367,38 @@ func (c *InstanceCache) Stats() CacheStats {
 		PackLoads:     c.packLoads,
 		Resident:      c.lru.Len(),
 		DecodeTime:    c.decodeTime,
-		BytesResident: c.bytes,
+		BytesResident: resident,
 		BytesLimit:    c.maxBytes,
 		SnapshotSteps: c.snapshotSteps,
 		DeltaSteps:    c.deltaSteps,
 		ByClass:       byClass,
 	}
+}
+
+// residentBytesLocked sums the decoded size of the resident, fully decoded
+// packs of a pack-count cache, sizing each pack once.
+func (c *InstanceCache) residentBytesLocked() int64 {
+	var n int64
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*cachedPack)
+		if e.instances == nil {
+			continue // in flight: charged once it completes
+		}
+		if !e.sized {
+			e.bytes, e.sized = decodedBytes(e.instances), true
+		}
+		n += e.bytes
+	}
+	return n
+}
+
+// decodedBytes is the decoded size of one pack's instances.
+func decodedBytes(instances []*graph.Instance) int64 {
+	var n int64
+	for _, ins := range instances {
+		n += instanceBytes(ins)
+	}
+	return n
 }
 
 // instanceBytes estimates the decoded in-memory footprint of one instance:

@@ -171,6 +171,38 @@ func TestInstanceCacheByteAccounting(t *testing.T) {
 	}
 }
 
+// TestInstanceCacheResidentBytes: in both capacity modes BytesResident is
+// the decoded size of exactly the resident packs — charged at load when
+// byte-bounded, summed when asked in pack-count mode — through loads,
+// hits and evictions.
+func TestInstanceCacheResidentBytes(t *testing.T) {
+	dir := t.TempDir()
+	c, a := makeDataset(t, 12, 2)
+	if err := WriteDatasetOptions(dir, c, a, Options{Pack: 4, Bin: 2, SnapshotEvery: 4}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cache := range []*InstanceCache{NewInstanceCache(s, 2), NewInstanceCacheBytes(s, 1<<40)} {
+		for _, step := range []int{0, 5, 1, 9, 2, 10, 6} {
+			if _, err := cache.Load(step); err != nil {
+				t.Fatal(err)
+			}
+			var want int64
+			cache.mu.Lock()
+			for _, e := range cache.packs {
+				want += decodedBytes(e.instances)
+			}
+			cache.mu.Unlock()
+			if got := cache.Stats().BytesResident; got != want || want <= 0 {
+				t.Fatalf("limit %d, after Load(%d): BytesResident %d, resident packs decode to %d", cache.maxBytes, step, got, want)
+			}
+		}
+	}
+}
+
 func TestInstanceCacheSingleFlight(t *testing.T) {
 	dir := t.TempDir()
 	c, a := makeDataset(t, 8, 2)

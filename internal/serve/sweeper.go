@@ -59,6 +59,7 @@ func (l localSweeper) SweepTDSP(_ context.Context, watermark, depart int, querie
 	if err != nil {
 		return nil, err
 	}
+	prog.Release()
 	return prog.Arrival, nil
 }
 

@@ -306,6 +306,7 @@ func (r *Rank) tdsp(req *Request, resp *Response) error {
 			})
 		}
 	}
+	prog.Release()
 	return nil
 }
 
